@@ -7,11 +7,13 @@ Layers:
 * ``esacert.exact``     exact rationals, polynomials, Sturm isolation,
                         polynomial-matrix determinants, algebraic reals;
 * ``esacert.roots``     certified complex root disks (Aberth iteration with
-                        exact a-posteriori certification);
+                        exact a-posteriori certification) for numeric
+                        output and as a test oracle;
 * ``esacert.indicial``  indicial polynomials of the radial operators and
                         the closed-form quartic exponents;
 * ``esacert.stability`` Hurwitz matrices, exact axis-root detection,
-                        half-plane counting, quartic real-root classifier;
+                        exact half-plane counting by Cauchy index,
+                        quartic real-root classifier;
 * ``esacert.esa``       ESA verdicts, thresholds, regions, closed-form
                         oracles;
 * ``esacert.frobenius`` resonance geometry and fundamental-system selection

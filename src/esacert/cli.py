@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import golden
 from .config import EngineConfig, load_config
-from .esa import (EsaRegion, conjecture_explore, esa_decide_radial,
+from .esa import (conjecture_explore, esa_decide_radial,
                   esa_region_full, esa_region_radial, gamma_threshold,
                   render_value, value_to_json)
 from .frobenius import locus_samples, select_fundamental_system
@@ -68,8 +68,7 @@ def _envelope(args_echo, spec: dict, result: dict, precision_bits: int,
 
 def cmd_decide(args, cfg: EngineConfig, echo) -> int:
     spec = IndicialSpec(m=args.m, n=args.n, l=args.l, c=args.c)
-    verdict = esa_decide_radial(spec, precision_bits=cfg.precision_start,
-                                max_bits=cfg.precision_limit)
+    verdict = esa_decide_radial(spec)
     if args.json:
         print(_dump_json(_envelope(echo, spec.to_json(), verdict.to_json(),
                                    cfg.precision_start)))
@@ -92,46 +91,21 @@ def cmd_decide(args, cfg: EngineConfig, echo) -> int:
 # -- region ----------------------------------------------------------------------
 
 
-def _region_worker(task):
-    m, n, l, prec = task
-    return esa_region_radial(m, n, l, precision_bits=prec)
-
-
 def cmd_region(args, cfg: EngineConfig, echo) -> int:
     if args.all_l:
         l_max = args.lmax if args.lmax is not None else cfg.l_max
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                radials = list(pool.map(
-                    _region_worker,
-                    [(args.m, args.n, l, cfg.precision_start)
-                     for l in range(l_max + 1)]))
-            from .esa import intersect_pieces, oracle_threshold
-            pieces = list(radials[0].pieces)
-            warnings = []
-            for reg in radials:
-                warnings.extend(reg.warnings)
-            for reg in radials[1:]:
-                pieces = intersect_pieces(pieces, reg.pieces)
-            region = EsaRegion(m=args.m, n=args.n, pieces=pieces,
-                               boundary_candidates=[], certified_up_to_l=l_max,
-                               warnings=warnings)
-            oracle = oracle_threshold(args.m, args.n)
-            if oracle is not None:
-                if not region.equals(oracle):
-                    raise AssertionError("engine/oracle region mismatch")
-                region.oracle_checked = "closed-form"
+                region = esa_region_full(args.m, args.n, l_max, map=pool.map)
         else:
-            region = esa_region_full(args.m, args.n, l_max,
-                                     precision_bits=cfg.precision_start)
+            region = esa_region_full(args.m, args.n, l_max)
         spec = {"m": args.m, "n": args.n, "l_max": l_max}
         l_meta = l_max
     else:
         if args.l is None:
             print("region: provide --l or --all-l", file=sys.stderr)
             return EXIT_USAGE
-        region = esa_region_radial(args.m, args.n, args.l,
-                                   precision_bits=cfg.precision_start)
+        region = esa_region_radial(args.m, args.n, args.l)
         spec = {"m": args.m, "n": args.n, "l": args.l}
         l_meta = None
     rendered = region.render(args.digits)

@@ -27,11 +27,10 @@ class EngineConfig:
 
     @property
     def precision_start(self) -> int:
+        """First rung of the ladder: the starting precision of the trajectory
+        root disks (`figure`) and the working precision of the basis
+        exponents (`basis`).  No other rung is read."""
         return self.precision_ladder[0]
-
-    @property
-    def precision_limit(self) -> int:
-        return self.precision_ladder[-1]
 
 
 def _parse_value(key: str, raw: str):

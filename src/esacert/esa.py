@@ -152,11 +152,10 @@ def _hurwitz_cached(m: int, n: int, l: int) -> HurwitzData:
     return hurwitz_assemble(m, n, l)
 
 
-def esa_decide_radial(spec: IndicialSpec, precision_bits: int = 128,
-                      max_bits: int = 4096, with_certificate: bool = True) -> EsaVerdict:
+def esa_decide_radial(spec: IndicialSpec, with_certificate: bool = True) -> EsaVerdict:
     """Decide ESA of one radial operator at an exact rational coupling."""
     poly = build_indicial(spec)
-    count = halfplane_count(poly, precision_bits=precision_bits, max_bits=max_bits)
+    count = halfplane_count(poly)
     if count.left + count.axis > spec.m:
         raise AssertionError("more than m roots weakly left of the line; "
                              "pairing symmetry violated")
@@ -172,7 +171,6 @@ def esa_decide_radial(spec: IndicialSpec, precision_bits: int = 128,
             "halfplane": count.to_json(),
             "axis_parameters": [t.to_json() for t in axis],
             "hurwitz_det_at_c": str(hd.det_in_c(spec.c)),
-            "precision_bits": precision_bits,
         }
     return EsaVerdict(spec=spec,
                       verdict=Verdict.ESA if esa else Verdict.NOT_ESA,
@@ -280,8 +278,7 @@ def _separate_candidates(candidates: list) -> list:
     return [(v.interval if isinstance(v, AlgebraicReal) else (v, v)) for v in bounds]
 
 
-def esa_region_radial(m: int, n: int, l: int, precision_bits: int = 128,
-                      max_bits: int = 4096) -> EsaRegion:
+def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
     """Exact ESA region in c for one radial operator.
 
     Between consecutive real roots of the Hurwitz determinant the verdict is
@@ -294,8 +291,7 @@ def esa_region_radial(m: int, n: int, l: int, precision_bits: int = 128,
 
     def decide(c: Fraction) -> bool:
         return esa_decide_radial(IndicialSpec(m=m, n=n, l=l, c=c),
-                                 precision_bits=precision_bits,
-                                 max_bits=max_bits, with_certificate=False).is_esa
+                                 with_certificate=False).is_esa
 
     # one sample per open gap, plus the two unbounded gaps
     k = len(candidates)
@@ -372,9 +368,9 @@ class Threshold:
                 "source": self.source.value}
 
 
-def gamma_threshold(m: int, n: int, l: int, precision_bits: int = 128) -> Threshold:
+def gamma_threshold(m: int, n: int, l: int) -> Threshold:
     """Largest finite boundary point of the radial ESA region."""
-    region = esa_region_radial(m, n, l, precision_bits=precision_bits)
+    region = esa_region_radial(m, n, l)
     finite = []
     for p in region.pieces:
         finite.append(p.lo)
@@ -413,23 +409,22 @@ def intersect_pieces(a: Sequence[RegionPiece], b: Sequence[RegionPiece]) -> list
     return out
 
 
-def esa_region_full(m: int, n: int, l_max: int = 50,
-                    precision_bits: int = 128, crosscheck: bool = True) -> EsaRegion:
+def esa_region_full(m: int, n: int, l_max: int = 50, crosscheck: bool = True,
+                    map=map) -> EsaRegion:
     """Intersection of the radial ESA regions over 0 <= l <= l_max.
 
     The full operator is essentially self-adjoint iff every angular sector
     is; the engine certifies up to l_max and cross-checks against the
-    closed-form oracles wherever one covers (m, n).
+    closed-form oracles wherever one covers (m, n).  The sector regions are
+    computed by ``map`` over l in order; pass an executor's ``map`` to spread
+    them over worker processes.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     pieces = None
     all_warnings = []
-    candidates = []
-    for l in range(l_max + 1):
-        region = esa_region_radial(m, n, l, precision_bits=precision_bits)
+    for region in map(functools.partial(esa_region_radial, m, n), range(l_max + 1)):
         all_warnings.extend(region.warnings)
-        candidates.extend(region.boundary_candidates)
         pieces = list(region.pieces) if pieces is None \
             else intersect_pieces(pieces, region.pieces)
     result = EsaRegion(m=m, n=n, pieces=pieces, boundary_candidates=[],

@@ -5,6 +5,7 @@ from fractions import Fraction as Rational
 from .poly import (
     RationalPolynomial,
     as_fraction,
+    cauchy_index,
     cauchy_root_bound,
     count_real_roots,
     det_fractions,
@@ -32,6 +33,7 @@ __all__ = [
     "AlgebraicReal",
     "as_fraction",
     "algebraic_refine",
+    "cauchy_index",
     "cauchy_root_bound",
     "count_real_roots",
     "det_cofactor",

@@ -8,8 +8,9 @@ point enters any code path.  Provided machinery:
   ``p(b0 + b1*z)``, even/odd splitting,
 * exact Euclidean division, gcd with primitive-part normalization,
   Yun square-free decomposition,
-* Sturm chains (primitive, sign-preserving), real-root counting,
-  isolation into disjoint rational intervals, bisection refinement,
+* Sturm chains and signed remainder sequences (primitive,
+  sign-preserving), Cauchy indices, real-root counting, isolation into
+  disjoint rational intervals, bisection refinement,
 * resultants and discriminants via exact Sylvester determinants,
 * rational-root detection by continued-fraction probing of isolating
   intervals.
@@ -398,31 +399,32 @@ def square_free_decomposition(p: RationalPolynomial) -> list:
 # -- Sturm machinery -----------------------------------------------------------
 
 
-def sturm_chain(p: RationalPolynomial) -> list:
-    """Sturm chain as primitive integer coefficient lists (ascending).
+def _signed_remainder_chain(a: RationalPolynomial, b: RationalPolynomial) -> list:
+    """Signed remainder sequence a, b, -rem(a, b), ... as primitive integer
+    coefficient lists (ascending); a must be nonzero.
 
     Remainders are rescaled by positive rational factors only, which keeps
-    the sign pattern of the canonical chain while bounding coefficient
-    growth.
+    the sign pattern of the canonical sequence while bounding coefficient
+    growth.  The last entry is a gcd of a and b.
     """
-    c0 = _primitive_int(_int_coeffs(p))
-    chain = [c0]
-    dp = p.derivative()
-    if dp.is_zero:
+    chain = [_primitive_int(_int_coeffs(a))]
+    if b.is_zero:
         return chain
-    chain.append(_primitive_int(_int_coeffs(dp)))
+    chain.append(_primitive_int(_int_coeffs(b)))
     a = RationalPolynomial(chain[0])
     b = RationalPolynomial(chain[1])
-    while True:
+    while b.degree > 0:
         r = a % b
         if r.is_zero:
             break
-        rneg = -r
-        chain.append(_primitive_int(_int_coeffs(rneg)))
+        chain.append(_primitive_int(_int_coeffs(-r)))
         a, b = b, RationalPolynomial(chain[-1])
-        if b.degree == 0:
-            break
     return chain
+
+
+def sturm_chain(p: RationalPolynomial) -> list:
+    """Sturm chain of p: the signed remainder sequence of (p, p')."""
+    return _signed_remainder_chain(p, p.derivative())
 
 
 def _variations(signs: list) -> int:
@@ -458,6 +460,22 @@ def count_real_roots(p: RationalPolynomial, lo=None, hi=None) -> int:
     vhi = _chain_variations_at(chain, as_fraction(hi)) if hi is not None \
         else _chain_variations_at_inf(chain, positive=True)
     return vlo - vhi
+
+
+def cauchy_index(a: RationalPolynomial, b: RationalPolynomial) -> int:
+    """Cauchy index of b/a over the whole real line, exactly.
+
+    The number of real poles where b/a (in lowest terms) jumps from -inf to
+    +inf minus the number where it jumps from +inf to -inf.  Equals
+    V(-inf) - V(+inf) on the signed remainder sequence of (a, b) (Sturm's
+    theorem generalised; Basu-Pollack-Roy, Thm 2.58); Ind(p'/p) is the
+    number of distinct real roots of p.  Ind(0/a) = 0.
+    """
+    if a.is_zero:
+        raise ValueError("Cauchy index of b/0 is undefined")
+    chain = _signed_remainder_chain(a, b)
+    return (_chain_variations_at_inf(chain, positive=False)
+            - _chain_variations_at_inf(chain, positive=True))
 
 
 def cauchy_root_bound(p: RationalPolynomial) -> Fraction:

@@ -14,10 +14,9 @@ Strategy: exact square-free decomposition first, then per square-free factor
 4. precision doubles until all disks are pairwise disjoint, in which case
    each disk provably contains exactly one root.
 
-Downstream consumers compare disk positions against vertical lines.  A disk
-that straddles the line is never forced; the caller combines with the exact
-axis test in the stability layer instead (roots exactly on a threshold line
-cannot be separated at any finite precision).
+The disks feed the numeric trajectory output only, and serve the tests as
+an oracle independent of the exact half-plane count in the stability layer;
+no verdict is taken from them.
 """
 
 from __future__ import annotations
@@ -292,10 +291,10 @@ def real_part_position(root_set: OrderedRootSet, threshold):
     """Count roots with real part <, =, > threshold, from disk positions.
 
     Exact-radius roots compare exactly.  If any positive-radius disk meets
-    the vertical line Re = threshold the result is Unresolved: the caller
-    must combine with the exact axis test in the stability layer instead of
-    blindly escalating precision (a root exactly on the line can never be
-    separated numerically).
+    the vertical line Re = threshold the result is Unresolved: a root
+    exactly on the line can never be separated numerically, so escalating
+    precision blindly is no answer; the exact count is
+    `stability.halfplane_count`.
     """
     thr = as_fraction(threshold)
     left = axis = right = 0

@@ -3,17 +3,21 @@
 All counting is relative to the vertical line Re z = -1/2 (the decision line
 for essential self-adjointness of the radial operators).
 
-Half-plane counting never trusts floating point near the line.  For each
-square-free factor f of the input polynomial:
+Half-plane counting is exact and uses no floating point (a Routh-Hurwitz
+count by Cauchy index; Gantmacher, Theory of Matrices II, ch. XV).  For each
+square-free factor f of the input polynomial, write f(-1/2 + it) =
+P(t) + i Q(t) with P, Q in Q[t]:
 
-* rational roots are split off and compared with -1/2 exactly;
-* the reflection-symmetric part g = gcd(f(z), f(-1-z)) is split off exactly.
-  After centering (w = z + 1/2) its root set is symmetric under w -> -w, so
-  g(w - 1/2) = w^delta * U(w^2); negative real roots of U correspond to root
-  pairs exactly on the line, every other root of U to one root strictly left
-  and one strictly right.  Sturm counting on U settles all of them exactly;
-* the remaining cofactor has no roots on the line, so certified root disks
-  separate from it at some finite precision and are counted there.
+* g = gcd(P, Q) holds the roots of f that are reflected into roots of f
+  through -1/2.  Its real roots are the axis roots, counted by Sturm; its
+  non-real roots come in pairs with one root strictly left of the line and
+  one strictly right;
+* the remaining roots are off the line and split by the Cauchy index of
+  Q/P (or P/Q for odd degree), read off the signed remainder sequence of
+  (P, Q) at +-infinity.
+
+Certified numeric root disks (esacert.roots) never enter a count; they
+serve the numeric trajectory output and the tests.
 
 The Hurwitz matrix convention is H[i][j] = a_{2j-i} (1-based), with a_0 the
 leading coefficient of the centered polynomial and a_k = 0 outside 0..deg.
@@ -29,11 +33,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from .exact import (AlgebraicReal, PolynomialMatrix, RationalPolynomial,
-                    as_fraction, count_real_roots, discriminant,
+                    as_fraction, cauchy_index, count_real_roots, discriminant,
                     exact_real_roots, poly_gcd, polymatrix_det,
-                    rational_roots, square_free_decomposition, sturm_isolate)
+                    square_free_decomposition, sturm_isolate)
 from .indicial import euler_quartic, indicial_base
-from .roots import PrecisionExceededError, certified_roots, real_part_position, Unresolved
 
 CRITICAL_RE = Fraction(-1, 2)
 
@@ -168,72 +171,33 @@ class HalfPlaneCount:
                 "exact": self.exact}
 
 
-def _reflected(p: RationalPolynomial) -> RationalPolynomial:
-    """p(-1 - z)."""
-    return p.compose_affine(Fraction(-1), Fraction(-1))
+def _count_square_free(f: RationalPolynomial) -> tuple:
+    """(left, axis, right) for a square-free polynomial, exactly.
 
-
-def _count_square_free(f: RationalPolynomial,
-                       precision_bits: int, max_bits: int) -> tuple:
-    """(left, axis, right) for a square-free polynomial, exactly."""
-    left = axis = right = 0
-    # split off rational roots first; they compare with -1/2 exactly
-    for r in rational_roots(f):
-        f = f.divide_exact(RationalPolynomial((-r, 1)))
-        if r < CRITICAL_RE:
-            left += 1
-        elif r > CRITICAL_RE:
-            right += 1
-        else:
-            axis += 1
-    if f.degree == 0:
-        return left, axis, right
-    # reflection-symmetric part: roots come in pairs z, -1-z
-    g = poly_gcd(f, _reflected(f))
-    if g.degree > 0:
-        h = f.divide_exact(g)
-        centered = g.shift(CRITICAL_RE)
-        even = all(c == 0 for k, c in enumerate(centered.coeffs) if k % 2 == 1)
-        odd = all(c == 0 for k, c in enumerate(centered.coeffs) if k % 2 == 0)
-        if not (even or odd):
-            raise AssertionError("symmetric factor is not parity-pure")
-        if odd:
-            axis += 1  # the root at -1/2 itself
-            u = RationalPolynomial(centered.coeffs[1::2])
-        else:
-            u = RationalPolynomial(centered.coeffs[0::2])
-        if u.degree > 0:
-            if u(Fraction(0)) == 0:
-                raise AssertionError("unexpected double root at the line center")
-            negative = count_real_roots(u, None, Fraction(0))
-            axis += 2 * negative
-            off_pairs = u.degree - negative
-            left += off_pairs
-            right += off_pairs
+    With f(-1/2 + it) = P(t) + i Q(t) and g = gcd(P, Q): the real roots of g
+    are the axis roots (simple, since f is square-free), and its non-real
+    roots belong to root pairs z, -1 - z reflected through -1/2, one strictly
+    left of the line and one strictly right.  The other deg f - deg g roots
+    split by the argument principle along the line: left - right is
+    -Ind(Q/P) when deg P >= deg Q (f of even degree) and +Ind(P/Q) when
+    deg Q > deg P (odd degree).  P or Q may vanish identically; the index
+    of 0 over the other part is 0.
+    """
+    P, Q = critical_line_parts(f)
+    g = poly_gcd(P, Q)
+    axis = count_real_roots(g)
+    pairs, odd_pairs = divmod(g.degree - axis, 2)
+    if P.degree >= Q.degree:
+        diff = -cauchy_index(P, Q)
     else:
-        h = f
-    if h.degree > 0:
-        # no roots of h lie on the line; certified disks separate eventually
-        prec = precision_bits
-        while True:
-            rs = certified_roots(h, precision_bits=prec, max_bits=max_bits,
-                                 square_free=True, extract_rationals=False)
-            pos = real_part_position(rs, CRITICAL_RE)
-            if not isinstance(pos, Unresolved):
-                if pos.axis:
-                    raise AssertionError("deflated cofactor reported an axis root")
-                left += pos.left
-                right += pos.right
-                break
-            if rs.precision_bits >= max_bits:
-                raise PrecisionExceededError(
-                    f"half-plane separation failed at {max_bits} bits")
-            prec = rs.precision_bits * 2
-    return left, axis, right
+        diff = cauchy_index(Q, P)
+    rest = f.degree - g.degree
+    if odd_pairs or (rest - diff) % 2 or abs(diff) > rest:
+        raise AssertionError("Cauchy index inconsistent with the degree")
+    return pairs + (rest + diff) // 2, axis, pairs + (rest - diff) // 2
 
 
-def halfplane_count(p: RationalPolynomial, precision_bits: int = 128,
-                    max_bits: int = 4096) -> HalfPlaneCount:
+def halfplane_count(p: RationalPolynomial) -> HalfPlaneCount:
     """Exact root count of p relative to Re z = -1/2, with multiplicity."""
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -241,7 +205,7 @@ def halfplane_count(p: RationalPolynomial, precision_bits: int = 128,
         return HalfPlaneCount(0, 0, 0)
     left = axis = right = 0
     for f, mult in square_free_decomposition(p):
-        fl, fa, fr = _count_square_free(f, precision_bits, max_bits)
+        fl, fa, fr = _count_square_free(f)
         left += mult * fl
         axis += mult * fa
         right += mult * fr

@@ -115,6 +115,23 @@ class TestTableCommand:
         assert "MISMATCH" in err
 
 
+class TestExactVerdictPaths:
+    def test_no_numeric_root_finding(self, capsys, monkeypatch):
+        # verdicts, regions and thresholds never call the mpmath iteration
+        from esacert import roots
+
+        def numeric(*args, **kwargs):
+            raise AssertionError("numeric root finding on a verdict path")
+
+        monkeypatch.setattr(roots, "_aberth", numeric)
+        argvs = (["decide", "--m", "5", "--n", "20", "--c", "15000000000"],
+                 ["decide", "--m", "2", "--n", "3", "--c", "45", "--json"],
+                 ["region", "--m", "2", "--n", "5", "--all-l", "--lmax", "10"],
+                 ["table", "--which", "gamma2"])
+        codes = [invoke(capsys, argv)[0] for argv in argvs]
+        assert codes == [10, 0, 0, 0]
+
+
 class TestFigureCommand:
     def test_fig1_requires_c1(self, capsys, tmp_path):
         code, _, _ = invoke(capsys, ["figure", "--which", "fig1",

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from esacert import golden
-from esacert.exact import (RationalPolynomial, det_fractions, primitive_part,
-                           sturm_isolate)
+from esacert.esa import _hurwitz_cached
+from esacert.exact import (RationalPolynomial, count_real_roots, det_fractions,
+                           poly_gcd, primitive_part, sturm_isolate)
 from esacert.indicial import IndicialSpec, build_indicial, euler_quartic
+from esacert.roots import Unresolved, certified_roots, real_part_position
 from esacert.stability import (CRITICAL_RE, HalfPlaneCount, QuarticRootClass,
                                axis_roots_exact, critical_line_parts, disc_q3,
                                euler_hurwitz_matrix, halfplane_count,
@@ -15,6 +19,7 @@ from esacert.stability import (CRITICAL_RE, HalfPlaneCount, QuarticRootClass,
 from conftest import rand_fraction, rand_poly
 
 Z = RationalPolynomial.variable()
+HALF = F(1, 2)
 
 
 def det_formula(c1: F, c2: F) -> F:
@@ -161,6 +166,132 @@ class TestHalfPlaneCount:
             hp = halfplane_count(p)
             assert hp.degree == p.degree
             assert hp.exact
+
+
+class TestHalfPlaneCountShapes:
+    """Factor shapes on which the plain formula left - right = -Ind(Q/P) fails
+    or that reach the degenerate branches of the exact count."""
+
+    def test_single_root_right_of_line(self):
+        # odd degree: deg Q > deg P, the index must be taken of P/Q
+        assert halfplane_count(Z - 1) == HalfPlaneCount(0, 0, 1)
+        assert halfplane_count(Z + 3) == HalfPlaneCount(1, 0, 0)
+
+    def test_real_part_vanishes_identically(self):
+        # centred at -1/2 the polynomial is odd, so P = 0: the root -1/2 and
+        # the reflected pair 1, -2
+        f = (Z + HALF) * (Z - 1) * (Z + 2)
+        P, Q = critical_line_parts(f)
+        assert P.is_zero and not Q.is_zero
+        assert halfplane_count(f) == HalfPlaneCount(1, 1, 1)
+        assert halfplane_count(Z + HALF) == HalfPlaneCount(0, 1, 0)
+
+    def test_imaginary_part_vanishes_identically(self):
+        f = (Z + HALF) ** 2 + 1          # roots -1/2 +- i, both on the line
+        P, Q = critical_line_parts(f)
+        assert Q.is_zero and not P.is_zero
+        assert halfplane_count(f) == HalfPlaneCount(0, 2, 0)
+        # (z + 1/2)^4 + 1: Q = 0 again, but no root on the line
+        g = (Z + HALF) ** 4 + 1
+        assert critical_line_parts(g)[1].is_zero
+        assert halfplane_count(g) == HalfPlaneCount(2, 0, 2)
+
+    def test_gcd_holds_reflected_nonreal_pair(self):
+        # a +- bi and -1 - a +- bi reflect into each other through -1/2
+        a, b = F(1), F(2)
+        pairs = ((Z - a) ** 2 + b * b) * ((Z + 1 + a) ** 2 + b * b)
+        f = pairs * (Z - 3)
+        g = poly_gcd(*critical_line_parts(f))
+        assert g.degree == 4 and count_real_roots(g) == 0
+        assert halfplane_count(pairs) == HalfPlaneCount(2, 0, 2)
+        assert halfplane_count(f) == HalfPlaneCount(2, 0, 3)
+
+    def test_odd_degree_on_both_sides(self):
+        assert halfplane_count((Z + 3) * (Z - 2) * (Z - 5)) == HalfPlaneCount(1, 0, 2)
+        # z^3 - 2: real root 2^(1/3), complex pair at real part -2^(1/3)/2
+        assert halfplane_count(Z ** 3 - 2) == HalfPlaneCount(2, 0, 1)
+        assert halfplane_count(Z ** 3 + 2) == HalfPlaneCount(1, 0, 2)
+        f = (Z + 7) * (Z + 3) * ((Z - 1) ** 2 + 1) * (Z - 2)
+        assert halfplane_count(f) == HalfPlaneCount(2, 0, 3)
+
+
+def _disk_count(p: RationalPolynomial) -> HalfPlaneCount:
+    """Half-plane count read off certified root disks, raising the precision
+    until no disk meets the line (so p must have no non-rational root on it)."""
+    prec = 128
+    while True:
+        rs = certified_roots(p, precision_bits=prec)
+        pos = real_part_position(rs, CRITICAL_RE)
+        if not isinstance(pos, Unresolved):
+            return HalfPlaneCount(pos.left, pos.axis, pos.right)
+        prec = rs.precision_bits * 2
+        if prec > 4096:
+            pytest.fail(f"disks still meet the line at 4096 bits: {p}")
+
+
+@st.composite
+def off_boundary_specs(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 24))
+    l = draw(st.integers(0, 4))
+    scale = 10 ** draw(st.integers(0, 2 * m))
+    c = F(draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(1, 64))) * scale
+    assume(_hurwitz_cached(m, n, l).det_in_c(c) != 0)
+    return IndicialSpec(m, n, l, c)
+
+
+_rationals = st.builds(F, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 9))
+_offsets = st.builds(F, st.integers(1, 10 ** 6), st.integers(1, 10 ** 3))
+
+
+@st.composite
+def known_root_polynomials(draw):
+    """(polynomial, count by construction, whether a non-real root is on the line)."""
+    p = RationalPolynomial.one()
+    left = axis = right = 0
+    nonreal_axis = False
+    for _ in range(draw(st.integers(1, 4))):
+        mult = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from(("real", "half", "pair", "axis_pair", "reflected")))
+        if kind in ("real", "half"):
+            r = draw(_rationals) if kind == "real" else CRITICAL_RE
+            factor, roots = Z - r, [r]
+        elif kind == "axis_pair":
+            b = draw(_offsets)
+            factor, roots = (Z - CRITICAL_RE) ** 2 + b * b, [CRITICAL_RE] * 2
+            nonreal_axis = True
+        else:
+            a, b = draw(_rationals), draw(_offsets)
+            factor, roots = (Z - a) ** 2 + b * b, [a, a]
+            if kind == "reflected":
+                factor = factor * ((Z + 1 + a) ** 2 + b * b)
+                roots += [-1 - a, -1 - a]
+            nonreal_axis |= a == CRITICAL_RE
+        p = p * factor ** mult
+        left += mult * sum(r < CRITICAL_RE for r in roots)
+        axis += mult * sum(r == CRITICAL_RE for r in roots)
+        right += mult * sum(r > CRITICAL_RE for r in roots)
+    return p, HalfPlaneCount(left, axis, right), nonreal_axis
+
+
+class TestExactCountAgainstDisks:
+    """Differential check: the exact count against certified numeric disks."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(off_boundary_specs())
+    def test_radial_specs_off_the_boundary(self, spec):
+        p = build_indicial(spec)
+        got = halfplane_count(p)
+        assert got.axis == 0
+        assert got == _disk_count(p)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(known_root_polynomials())
+    def test_polynomials_from_known_roots(self, case):
+        p, want, nonreal_axis = case
+        assert halfplane_count(p) == want
+        if not nonreal_axis:
+            assert _disk_count(p) == want
 
 
 class TestQuarticClassifier:
