@@ -5,13 +5,16 @@ relative to the line Re z = -1/2.
 Layers:
 
 * ``esacert.exact``     exact rationals, polynomials, Sturm isolation,
-                        polynomial-matrix determinants, algebraic reals;
+                        determinants and characteristic polynomials,
+                        algebraic reals (polynomial-matrix determinants
+                        serve as a test oracle);
 * ``esacert.roots``     certified complex root disks (Aberth iteration with
                         exact a-posteriori certification) for numeric
                         output and as a test oracle;
 * ``esacert.indicial``  indicial polynomials of the radial operators and
                         the closed-form quartic exponents;
-* ``esacert.stability`` Hurwitz matrices, exact axis-root detection,
+* ``esacert.stability`` Hurwitz determinants in the coupling by
+                        Orlando's formula, exact axis-root detection,
                         exact half-plane counting by Cauchy index,
                         quartic real-root classifier;
 * ``esacert.esa``       ESA verdicts, thresholds, regions, closed-form

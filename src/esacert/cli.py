@@ -11,9 +11,10 @@ invocations; wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import re
 import csv
+import functools
 import json
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -371,6 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `run` and reused by later calls in the
+    same process (parse_args does not change it)."""
+    return build_parser()
+
+
 _HANDLERS = {
     "decide": cmd_decide,
     "region": cmd_region,
@@ -383,8 +391,7 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     cfg = load_config(args.config)
     started = time.perf_counter()
     try:

@@ -1,4 +1,4 @@
-"""Engine configuration: precision ladder, sector cutoff, series budgets.
+"""Engine configuration: precision ladder, sector cutoff, conjecture cap.
 
 An optional config file (simple ``key = value`` lines, ``#`` comments,
 comma-separated lists) can override the defaults; its path is taken from
@@ -22,7 +22,6 @@ DEFAULT_LADDER = (128, 256, 512, 1024, 2048, 4096)
 class EngineConfig:
     precision_ladder: tuple = DEFAULT_LADDER
     l_max: int = 50
-    series_max_terms: int = 10 ** 6
     conjecture_m_cap: int = 12
 
     @property
@@ -57,8 +56,7 @@ def load_config(path: Optional[str] = None) -> EngineConfig:
             raise ValueError(f"malformed config line: {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in {"precision_ladder", "l_max", "series_max_terms",
-                       "conjecture_m_cap"}:
+        if key not in {"precision_ladder", "l_max", "conjecture_m_cap"}:
             raise ValueError(f"unknown config key: {key!r}")
         overrides[key] = _parse_value(key, raw)
     return replace(cfg, **overrides)

@@ -147,9 +147,15 @@ class EsaVerdict:
         }
 
 
-@functools.lru_cache(maxsize=None)
 def _hurwitz_cached(m: int, n: int, l: int) -> HurwitzData:
-    return hurwitz_assemble(m, n, l)
+    """Hurwitz data of sector (m, n, l), shared by all sectors with the same
+    nu = n + 2l (the data depend on nothing else)."""
+    return _hurwitz_by_nu(m, n + 2 * l)
+
+
+@functools.lru_cache(maxsize=None)
+def _hurwitz_by_nu(m: int, nu: int) -> HurwitzData:
+    return hurwitz_assemble(m, nu, 0)
 
 
 def esa_decide_radial(spec: IndicialSpec, with_certificate: bool = True) -> EsaVerdict:

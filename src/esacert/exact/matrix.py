@@ -5,6 +5,12 @@ variable is itself a polynomial of degree at most the matrix dimension, so it
 is recovered exactly by evaluating the matrix at dimension*maxdeg + 1 rational
 points and interpolating.  Numeric determinants use fraction-free Bareiss
 elimination after clearing denominators row by row.
+
+Verdicts and regions take no polynomial-matrix determinant: the Hurwitz
+cofactor comes from Orlando's formula (esacert.stability).  These routines
+serve the symbolic 4x4 matrix of ``stability.euler_hurwitz_matrix`` and,
+with the cofactor expansion ``det_cofactor``, as independent oracles in
+the tests.
 """
 
 from __future__ import annotations

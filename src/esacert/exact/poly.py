@@ -12,6 +12,7 @@ point enters any code path.  Provided machinery:
   sign-preserving), Cauchy indices, real-root counting, isolation into
   disjoint rational intervals, bisection refinement,
 * resultants and discriminants via exact Sylvester determinants,
+  characteristic polynomials (Berkowitz),
 * rational-root detection by continued-fraction probing of isolating
   intervals.
 
@@ -654,6 +655,24 @@ def det_fractions(rows: list) -> Fraction:
         int_rows.append([int(as_fraction(c) * den) for c in row])
         scale *= den
     return Fraction(_bareiss_det_int(int_rows)) / scale
+
+
+def char_poly(rows: list) -> RationalPolynomial:
+    """det(x I - A) of a square matrix of Fractions, by Berkowitz's
+    division-free algorithm (exact, O(n^4) ring operations)."""
+    desc = [Fraction(1)]  # descending coefficients for the empty leading block
+    for r in range(len(rows)):
+        # with A_r the leading r x r block, R = A[r][:r] and S = A[:r][r], the
+        # Toeplitz column is 1, -a_rr, -R S, -R A_r S, ..., -R A_r^(r-1) S
+        head = rows[r][:r]
+        col = [Fraction(1), -rows[r][r]]
+        x = [rows[i][r] for i in range(r)]
+        for _ in range(r):
+            col.append(-sum(a * b for a, b in zip(head, x)))
+            x = [sum(a * b for a, b in zip(rows[i][:r], x)) for i in range(r)]
+        desc = [sum(col[i - j] * desc[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    return RationalPolynomial(reversed(desc))
 
 
 def resultant(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:

@@ -25,6 +25,10 @@ The full Hurwitz determinant vanishes whenever some pair of roots of the
 centered polynomial sums to zero (Orlando), which makes its real roots in
 the coupling the complete list of boundary candidates for the decision
 problem; candidates are always confirmed by counting, never trusted alone.
+The determinant in the coupling c is assembled as (c - r) times a degree
+m-1 cofactor given by Orlando's formula, a resultant of the even and odd
+parts of the centered polynomial (see hurwitz_assemble); the 2m x 2m
+matrix is only evaluated once, at one rational c, as a check.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from .exact import (AlgebraicReal, PolynomialMatrix, RationalPolynomial,
-                    as_fraction, cauchy_index, count_real_roots, discriminant,
-                    exact_real_roots, poly_gcd, polymatrix_det,
+                    as_fraction, cauchy_index, char_poly, count_real_roots,
+                    det_fractions, discriminant, exact_real_roots, poly_gcd,
                     square_free_decomposition, sturm_isolate)
 from .indicial import euler_quartic, indicial_base
 
@@ -79,40 +83,70 @@ def euler_hurwitz_matrix(c1, c2=None):
 
 @dataclass(frozen=True)
 class HurwitzData:
-    """Hurwitz data of one radial operator with the coupling left symbolic."""
+    """Hurwitz data of one radial operator with the coupling left symbolic.
+
+    The data depend on (m, n, l) only through nu = n + 2l.
+    """
 
     m: int
-    n: int
-    l: int
+    nu: int
     shifted_base: RationalPolynomial      # coupling-free centered polynomial
-    matrix: PolynomialMatrix              # 2m x 2m over Q[c]
     det_in_c: RationalPolynomial
     linear_root: Fraction                 # the rational root of det_in_c
     q_factor: RationalPolynomial          # degree m-1 cofactor
 
 
+def _orlando_sign(m: int) -> int:
+    """(-1)^(m(m-1)/2), the sign in Orlando's formula for the cofactor."""
+    return -1 if (m * (m - 1) // 2) % 2 else 1
+
+
+def _multiplication_matrix(a: RationalPolynomial, mod: RationalPolynomial) -> list:
+    """Rows of the matrix of multiplication by a on Q[u]/(mod), in the basis
+    1, u, ..., u^(d-1) with d = deg mod (column j holds a * u^j mod mod)."""
+    d = mod.degree
+    u = RationalPolynomial.variable()
+    cols = []
+    r = a % mod
+    for _ in range(d):
+        cols.append([r.coefficient(i) for i in range(d)])
+        r = (r * u) % mod
+    return [[col[i] for col in cols] for i in range(d)]
+
+
 def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
-    """Builds the centered polynomial, its Hurwitz matrix over Q[c], the
-    determinant in c, and the exact split det = (c - r) * q_factor, where
-    r = -base(-1/2) is the boundary candidate at which z = -1/2 itself is a
-    root.  The split must divide exactly; failure indicates a construction
-    bug and raises AssertionError.
+    """Hurwitz determinant in c of the centered polynomial shifted(w) + c,
+    with its exact split det = (c - r) * q_factor.
+
+    r = -shifted(0) is the boundary candidate at which z = -1/2 itself is a
+    root: the last column of the Hurwitz matrix holds only the constant
+    coefficient c - r.  The cofactor comes from Orlando's formula
+    (Gantmacher, Theory of Matrices II, XV.7) instead of a 2m x 2m
+    determinant over Q[c]: with shifted(w) = E0(w^2) + w O(w^2) and
+    deg O = m - 1,
+
+        q_factor = (-1)^(m(m-1)/2) * lc(O)^m * prod_{O(u) = 0} (c + E0(u)),
+
+    and the product is det(c I - M), M the matrix of multiplication by -E0
+    on Q[u]/(O).  One probe compares det_in_c with the numeric 2m x 2m
+    Hurwitz determinant at c = r + 1; a mismatch is a construction bug and
+    raises AssertionError.
     """
-    base = indicial_base(m, n + 2 * l)
-    shifted = base.shift(CRITICAL_RE)
-    desc = list(shifted.descending())
-    entries = [RationalPolynomial.constant(c) for c in desc]
-    entries[-1] = RationalPolynomial((desc[-1], 1))  # constant coefficient + c
-    matrix = PolynomialMatrix(hurwitz_matrix(entries))
-    det = polymatrix_det(matrix)
+    nu = n + 2 * l
+    shifted = indicial_base(m, nu).shift(CRITICAL_RE)
+    even, odd = shifted.even_odd_split()
+    q_factor = (char_poly(_multiplication_matrix(-even, odd))
+                * (_orlando_sign(m) * odd.leading ** m))
     linear_root = -shifted(Fraction(0))
-    linear = RationalPolynomial((-linear_root, 1))
-    quotient, remainder = divmod(det, linear)
-    if not remainder.is_zero:
-        raise AssertionError("Hurwitz determinant lost its linear factor; "
-                             "matrix assembly is inconsistent")
-    return HurwitzData(m=m, n=n, l=l, shifted_base=shifted, matrix=matrix,
-                       det_in_c=det, linear_root=linear_root, q_factor=quotient)
+    det = RationalPolynomial((-linear_root, 1)) * q_factor
+    probe = linear_root + 1
+    desc = list(shifted.descending())
+    desc[-1] += probe
+    if det(probe) != det_fractions(hurwitz_matrix(desc)):
+        raise AssertionError("Hurwitz cofactor failed the validation probe "
+                             "against the 2m x 2m determinant")
+    return HurwitzData(m=m, nu=nu, shifted_base=shifted, det_in_c=det,
+                       linear_root=linear_root, q_factor=q_factor)
 
 
 # -- exact axis-root detection ---------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -8,8 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from esacert import golden, schemas
-from esacert.cli import run
+from esacert import cli, golden, schemas
+from esacert.cli import build_parser, run
 
 
 def invoke(capsys, argv):
@@ -237,12 +238,49 @@ class TestConfig:
         with pytest.raises(ValueError):
             run(["--config", str(cfg), "table", "--which", "gamma2"])
 
+    def test_removed_series_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("series_max_terms = 1000\n")
+        with pytest.raises(ValueError, match="unknown config key"):
+            run(["--config", str(cfg), "table", "--which", "gamma2"])
+
+
+class TestSharedParser:
+    ARGVS = (
+        ["decide", "--m", "2", "--n", "8", "--l", "1", "--c", "-9/16", "--json"],
+        ["region", "--m", "2", "--n", "5", "--all-l", "--lmax", "3", "--json"],
+        ["table", "--which", "gamma2"],
+        ["decide", "--m", "3", "--n", "7", "--c", "100"],
+    )
+
+    def test_calls_share_one_parser_without_leaking(self, capsys, monkeypatch):
+        cli._shared_parser.cache_clear()
+        shared = [invoke(capsys, argv)[:2] for argv in self.ARGVS]
+        assert cli._shared_parser.cache_info().misses == 1
+        # each call again, every one with a parser of its own
+        monkeypatch.setattr(cli, "_shared_parser", build_parser)
+        fresh = [invoke(capsys, argv)[:2] for argv in self.ARGVS]
+        assert shared == fresh
+        # the last decide falls back to l = 0 and plain text after the first
+        # decide set --l 1 and --json
+        assert not shared[3][1].lstrip().startswith("{")
+        assert "l=0" in shared[3][1]
+
+    def test_namespaces_match_a_fresh_parser(self):
+        parser = cli._shared_parser()
+        for argv in self.ARGVS + self.ARGVS[::-1]:
+            assert parser.parse_args(argv) == build_parser().parse_args(argv)
+
 
 def test_console_script_end_to_end():
+    # the fresh interpreter imports the same esacert as this test process,
+    # also when pytest put ./src on sys.path (pyproject's pythonpath)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "esacert.cli", "decide", "--m", "2", "--n", "3",
          "--l", "0", "--c", "45", "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["result"]["verdict"] == "ESA"

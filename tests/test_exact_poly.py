@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from esacert.exact import (RationalPolynomial, cauchy_index, cauchy_root_bound,
-                           count_real_roots, discriminant, isolate_real_roots,
+                           char_poly, count_real_roots, det_fractions,
+                           discriminant, isolate_real_roots,
                            poly_gcd, poly_shift, rational_roots,
                            refine_isolating_interval, resultant,
                            simplest_between, square_free_decomposition,
@@ -230,6 +231,32 @@ class TestResultant:
             q = rand_poly(rng, 4)
             a, b, c, d, e = q.descending()
             assert discriminant(q) == explicit(a, b, c, d, e)
+
+
+class TestCharPoly:
+    def test_empty_matrix(self):
+        assert char_poly([]) == RationalPolynomial.one()
+
+    def test_matches_determinants_at_enough_points(self, rng):
+        # det(x I - A) has degree n, so agreement at n + 1 points is identity
+        for n in range(1, 7):
+            a = [[rand_fraction(rng, -6, 6, 5) for _ in range(n)] for _ in range(n)]
+            chi = char_poly(a)
+            assert chi.degree == n and chi.leading == 1
+            for x in [F(k) for k in range(n + 1)]:
+                shifted = [[(x if i == j else 0) - e for j, e in enumerate(row)]
+                           for i, row in enumerate(a)]
+                assert chi(x) == det_fractions(shifted)
+
+    def test_companion_matrix(self, rng):
+        for degree in range(1, 7):
+            p = rand_poly(rng, degree).monic()
+            companion = [[F(0)] * degree for _ in range(degree)]
+            for i in range(1, degree):
+                companion[i][i - 1] = F(1)
+            for i in range(degree):
+                companion[i][degree - 1] = -p.coeffs[i]
+            assert char_poly(companion) == p
 
 
 class TestRationalRecognition:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from esacert import golden
+from esacert import golden, stability
 from esacert.esa import _hurwitz_cached
-from esacert.exact import (RationalPolynomial, count_real_roots, det_fractions,
-                           poly_gcd, primitive_part, sturm_isolate)
-from esacert.indicial import IndicialSpec, build_indicial, euler_quartic
+from esacert.exact import (PolynomialMatrix, RationalPolynomial,
+                           count_real_roots, det_cofactor, det_fractions,
+                           poly_gcd, polymatrix_det, primitive_part,
+                           sturm_isolate)
+from esacert.indicial import (IndicialSpec, build_indicial, euler_quartic,
+                              indicial_base)
 from esacert.roots import Unresolved, certified_roots, real_part_position
 from esacert.stability import (CRITICAL_RE, HalfPlaneCount, QuarticRootClass,
                                axis_roots_exact, critical_line_parts, disc_q3,
@@ -101,6 +105,53 @@ class TestHurwitzAssemble:
         assert vals[1][0] <= F(45) <= vals[1][1]
         assert hd.det_in_c(F(45)) == 0
         assert hd.det_in_c(F(-105, 16)) == 0
+
+
+def _hurwitz_polymatrix(m: int, nu: int) -> PolynomialMatrix:
+    """The 2m x 2m Hurwitz matrix of the centered indicial polynomial over
+    Q[c] (c in the constant coefficient)."""
+    desc = list(indicial_base(m, nu).shift(CRITICAL_RE).descending())
+    entries = [RationalPolynomial.constant(a) for a in desc]
+    entries[-1] = RationalPolynomial((desc[-1], 1))
+    return PolynomialMatrix(hurwitz_matrix(entries))
+
+
+@st.composite
+def sectors(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 60))
+    l = draw(st.integers(0, (60 - n) // 2))
+    return m, n, l
+
+
+class TestOrlandoCofactor:
+    """The resultant cofactor against determinants of the full 2m x 2m
+    Hurwitz matrix over Q[c]."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(sectors())
+    def test_matches_polynomial_matrix_determinant(self, sector):
+        m, n, l = sector
+        hd = hurwitz_assemble(m, n, l)
+        matrix = _hurwitz_polymatrix(m, n + 2 * l)
+        assert hd.det_in_c == polymatrix_det(matrix)
+        if m <= 3:
+            assert hd.det_in_c == det_cofactor(matrix)
+
+    def test_wrong_sign_trips_the_probe(self, monkeypatch):
+        flipped = stability._orlando_sign
+        monkeypatch.setattr(stability, "_orlando_sign", lambda m: -flipped(m))
+        for m, n, l in ((1, 4, 0), (2, 5, 0), (3, 7, 1), (5, 20, 0)):
+            with pytest.raises(AssertionError, match="validation probe"):
+                hurwitz_assemble(m, n, l)
+
+    def test_cache_keyed_by_nu(self):
+        for m, n, l in ((2, 7, 0), (3, 12, 4), (5, 22, 0)):
+            hd = _hurwitz_cached(m, n, l)
+            assert _hurwitz_cached(m, n - 2, l + 1) is hd
+            assert (hd.m, hd.nu) == (m, n + 2 * l)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                hd.q_factor = RationalPolynomial.one()
 
 
 class TestAxisRoots:
