@@ -11,6 +11,7 @@ invocations; wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -28,7 +29,8 @@ from .esa import (conjecture_explore, esa_decide_radial,
                   render_value, value_to_json)
 from .frobenius import locus_samples, select_fundamental_system
 from .indicial import IndicialSpec, euler_quartic
-from .roots import certified_roots, label_trajectories, trajectory_csv_rows
+from .roots import (START_BITS, root_trajectories, trajectory_csv_rows,
+                    trajectory_table)
 from .stability import quartic_classify
 from .esa import _hurwitz_cached
 
@@ -46,18 +48,42 @@ def rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+@contextlib.contextmanager
+def _task_map(jobs: int):
+    """The builtin map for jobs <= 1, else the map of a pool of `jobs` worker
+    processes; both return results in task order."""
+    if jobs <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
+
+
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
 
 
-def _envelope(args_echo, spec: dict, result: dict, precision_bits: int,
-              l_max=None, oracle=None) -> dict:
+def _envelope(args_echo, spec: dict, result: dict, l_max=None,
+              oracle=None) -> dict:
     return {
         "command": [str(a) for a in args_echo],
         "spec": spec,
         "result": result,
         "certification": {
-            "precision_bits": precision_bits,
+            "precision_bits": START_BITS,
             "l_max": l_max,
             "oracle_crosscheck": oracle,
         },
@@ -71,8 +97,7 @@ def cmd_decide(args, cfg: EngineConfig, echo) -> int:
     spec = IndicialSpec(m=args.m, n=args.n, l=args.l, c=args.c)
     verdict = esa_decide_radial(spec)
     if args.json:
-        print(_dump_json(_envelope(echo, spec.to_json(), verdict.to_json(),
-                                   cfg.precision_start)))
+        print(_dump_json(_envelope(echo, spec.to_json(), verdict.to_json())))
     else:
         print(f"operator (m={spec.m}, n={spec.n}, l={spec.l}) at c = {spec.c}: "
               f"{verdict.verdict.value}")
@@ -95,11 +120,8 @@ def cmd_decide(args, cfg: EngineConfig, echo) -> int:
 def cmd_region(args, cfg: EngineConfig, echo) -> int:
     if args.all_l:
         l_max = args.lmax if args.lmax is not None else cfg.l_max
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                region = esa_region_full(args.m, args.n, l_max, map=pool.map)
-        else:
-            region = esa_region_full(args.m, args.n, l_max)
+        with _task_map(args.jobs) as task_map:
+            region = esa_region_full(args.m, args.n, l_max, map=task_map)
         spec = {"m": args.m, "n": args.n, "l_max": l_max}
         l_meta = l_max
     else:
@@ -113,8 +135,8 @@ def cmd_region(args, cfg: EngineConfig, echo) -> int:
     if args.json:
         result = region.to_json()
         result["rendered"] = rendered
-        print(_dump_json(_envelope(echo, spec, result, cfg.precision_start,
-                                   l_max=l_meta, oracle=region.oracle_checked)))
+        print(_dump_json(_envelope(echo, spec, result, l_max=l_meta,
+                                   oracle=region.oracle_checked)))
     else:
         print(rendered)
         for w in region.warnings:
@@ -172,16 +194,12 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _indicial_rootset_worker(task):
-    m, n, l, c, prec = task
-    from .indicial import build_indicial
-    return certified_roots(build_indicial(IndicialSpec(m=m, n=n, l=l, c=c)),
-                           precision_bits=prec)
-
-
-def _euler_rootset_worker(task):
-    c1, c2, prec = task
-    return certified_roots(euler_quartic(c1, c2), precision_bits=prec)
+def _write_trajectories(path: Path, rows, highlight_label) -> None:
+    table = trajectory_csv_rows(rows)
+    table[0].append("highlight")
+    for row, pt in zip(table[1:], rows):
+        row.append(int(pt.label == highlight_label))
+    _write_csv(path, table)
 
 
 def _grid(lo: Fraction, hi: Fraction, steps: int) -> list:
@@ -192,37 +210,30 @@ def _grid(lo: Fraction, hi: Fraction, steps: int) -> list:
 def cmd_figure(args, cfg: EngineConfig, echo) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prec = cfg.precision_start
     written = []
     if args.which == "fig1":
         if args.c1 is None:
             print("figure fig1 requires --c1", file=sys.stderr)
             return EXIT_USAGE
+        if args.sweep_min >= args.sweep_max:
+            print("figure fig1 requires --sweep-min < --sweep-max", file=sys.stderr)
+            return EXIT_USAGE
         grid = _grid(args.sweep_min, args.sweep_max, args.steps)
-        tasks = [(args.c1, c2, prec) for c2 in grid]
-        sets = _map_tasks(_euler_rootset_worker, tasks, args.jobs)
-        rows = label_trajectories(grid, sets)
-        table = trajectory_csv_rows(rows)
-        table[0].append("highlight")
-        for row, pt in zip(table[1:], rows):
-            row.append(int(pt.label == 2))
+        with _task_map(args.jobs) as task_map:
+            rows = trajectory_table(functools.partial(euler_quartic, args.c1),
+                                    grid, map=task_map)
         path = out / "fig1_trajectories.csv"
-        _write_csv(path, table)
+        _write_trajectories(path, rows, highlight_label=2)
         written.append(path)
     elif args.which == "fig3":
-        lo, hi = Fraction(0), Fraction(22, 10) * 10 ** 10
-        grid = _grid(lo, hi, args.steps)
-        for l in range(5):
-            tasks = [(5, 20, l, c, prec) for c in grid]
-            sets = _map_tasks(_indicial_rootset_worker, tasks, args.jobs)
-            rows = label_trajectories(grid, sets)
-            table = trajectory_csv_rows(rows)
-            table[0].append("highlight")
-            for row, pt in zip(table[1:], rows):
-                row.append(int(l == 0 and pt.label == 5))
-            path = out / f"fig3_l{l}.csv"
-            _write_csv(path, table)
-            written.append(path)
+        grid = _grid(Fraction(0), Fraction(22, 10) * 10 ** 10, args.steps)
+        with _task_map(args.jobs) as task_map:
+            for l in range(5):
+                rows = root_trajectories(5, 20, l, grid, map=task_map)
+                path = out / f"fig3_l{l}.csv"
+                _write_trajectories(path, rows,
+                                    highlight_label=5 if l == 0 else None)
+                written.append(path)
     elif args.which == "fig2":
         rows = locus_samples()
         path = out / "fig2_loci.csv"
@@ -246,24 +257,15 @@ def cmd_figure(args, cfg: EngineConfig, echo) -> int:
     return EXIT_OK
 
 
-def _map_tasks(worker, tasks, jobs: int) -> list:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
-
-
 # -- basis -----------------------------------------------------------------------
 
 
 def cmd_basis(args, cfg: EngineConfig, echo) -> int:
     lam = args.lam if args.lam is not None else Fraction(1)
-    sel = select_fundamental_system(args.c1, args.c2, lam,
-                                    precision_bits=cfg.precision_start)
+    sel = select_fundamental_system(args.c1, args.c2, lam)
     if args.json:
         spec = {"c1": str(args.c1), "c2": str(args.c2), "lambda": str(lam)}
-        print(_dump_json(_envelope(echo, spec, sel.to_json(),
-                                   cfg.precision_start)))
+        print(_dump_json(_envelope(echo, spec, sel.to_json())))
     else:
         cls = sel.classification
         print(f"(c1, c2) = ({args.c1}, {args.c2})")
@@ -298,8 +300,7 @@ def cmd_conjecture(args, cfg: EngineConfig, echo) -> int:
             "comparison": repr(r["comparison"]),
             "log_ratio": None if r["log_ratio"] is None else repr(r["log_ratio"]),
         } for r in rows]}
-        print(_dump_json(_envelope(echo, {"m_max": args.mmax}, result,
-                                   cfg.precision_start)))
+        print(_dump_json(_envelope(echo, {"m_max": args.mmax}, result)))
     else:
         print(f"{'m':>3} {'threshold':>24} {'(2m^2/pi)^2m':>16} {'log-ratio':>10}")
         print("exploratory table; nothing is asserted beyond the values shown")
@@ -328,19 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
                     help="config file path (overrides ESACERT_CONFIG)")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    positive, at_least_two, nonnegative = (_int_at_least(1), _int_at_least(2),
+                                           _int_at_least(0))
+
     p = sub.add_parser("decide", help="decide ESA of one radial operator")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, default=0)
+    p.add_argument("--m", type=positive, required=True)
+    p.add_argument("--n", type=at_least_two, required=True)
+    p.add_argument("--l", type=nonnegative, default=0)
     p.add_argument("--c", type=rational_arg, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("region", help="ESA region in the coupling")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, default=None)
+    p.add_argument("--m", type=positive, required=True)
+    p.add_argument("--n", type=at_least_two, required=True)
+    p.add_argument("--l", type=nonnegative, default=None)
     p.add_argument("--all-l", action="store_true", dest="all_l")
-    p.add_argument("--lmax", type=int, default=None)
+    p.add_argument("--lmax", type=nonnegative, default=None)
     p.add_argument("--digits", type=int, default=6)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=rational_arg, default=None)
     p.add_argument("--sweep-min", type=rational_arg, default=Fraction(-40))
     p.add_argument("--sweep-max", type=rational_arg, default=Fraction(80))
-    p.add_argument("--steps", type=int, default=61)
+    p.add_argument("--steps", type=at_least_two, default=61)
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("basis", help="resonance classification and basis descriptors")

@@ -88,14 +88,6 @@ def value_eq(a, b) -> bool:
     return value_cmp(a, b) == 0
 
 
-def value_float(v) -> float:
-    if v is POS_INF:
-        return math.inf
-    if v is NEG_INF:
-        return -math.inf
-    return float(v)
-
-
 def value_to_json(v) -> dict:
     if v is POS_INF:
         return {"type": "infinity", "sign": 1}
@@ -200,16 +192,10 @@ class RegionPiece:
     def render(self, digits: int = 6) -> str:
         hi = render_value(self.hi, digits)
         lo = render_value(self.lo, digits)
-        if value_eq_safe(self.lo, self.hi):
+        if value_eq(self.lo, self.hi):
             return f"{{{lo}}}"
         close = ")" if self.hi is POS_INF else "]"
         return f"[{lo}, {hi}{close}"
-
-
-def value_eq_safe(a, b) -> bool:
-    if (a is POS_INF) or (b is POS_INF) or (a is NEG_INF) or (b is NEG_INF):
-        return a is b
-    return value_eq(a, b)
 
 
 @dataclass
@@ -237,7 +223,7 @@ class EsaRegion:
         if len(self.pieces) != len(other.pieces):
             return False
         for a, b in zip(self.pieces, other.pieces):
-            if not (value_eq_safe(a.lo, b.lo) and value_eq_safe(a.hi, b.hi)):
+            if not (value_eq(a.lo, b.lo) and value_eq(a.hi, b.hi)):
                 return False
         return True
 
@@ -257,33 +243,6 @@ class EsaRegion:
         return out
 
 
-def _separate_candidates(candidates: list) -> list:
-    """Refine AlgebraicReal candidates until all intervals are pairwise disjoint.
-
-    Returns per-candidate rational bounds [(lo, hi)] with lo == hi for exact
-    rationals; the list must already be sorted increasingly.
-    """
-    bounds = []
-    for v in candidates:
-        if isinstance(v, AlgebraicReal):
-            bounds.append(v)
-        else:
-            bounds.append(as_fraction(v))
-    done = False
-    while not done:
-        done = True
-        ivs = [(v.interval if isinstance(v, AlgebraicReal) else (v, v)) for v in bounds]
-        for i in range(len(ivs) - 1):
-            if ivs[i][1] >= ivs[i + 1][0]:
-                done = False
-                for j in (i, i + 1):
-                    v = bounds[j]
-                    if isinstance(v, AlgebraicReal):
-                        lo, hi = v.interval
-                        v.refine((hi - lo) / 4 if hi > lo else Fraction(1, 16))
-    return [(v.interval if isinstance(v, AlgebraicReal) else (v, v)) for v in bounds]
-
-
 def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
     """Exact ESA region in c for one radial operator.
 
@@ -293,7 +252,10 @@ def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
     """
     hd = _hurwitz_cached(m, n, l)
     candidates = exact_real_roots(hd.det_in_c)
-    bounds = _separate_candidates(candidates)
+    bounds = [v.interval if isinstance(v, AlgebraicReal) else (v, v)
+              for v in candidates]
+    if any(a[1] >= b[0] for a, b in zip(bounds, bounds[1:])):
+        raise AssertionError("exact_real_roots returned overlapping intervals")
 
     def decide(c: Fraction) -> bool:
         return esa_decide_radial(IndicialSpec(m=m, n=n, l=l, c=c),
@@ -415,15 +377,14 @@ def intersect_pieces(a: Sequence[RegionPiece], b: Sequence[RegionPiece]) -> list
     return out
 
 
-def esa_region_full(m: int, n: int, l_max: int = 50, crosscheck: bool = True,
-                    map=map) -> EsaRegion:
+def esa_region_full(m: int, n: int, l_max: int = 50, map=map) -> EsaRegion:
     """Intersection of the radial ESA regions over 0 <= l <= l_max.
 
     The full operator is essentially self-adjoint iff every angular sector
-    is; the engine certifies up to l_max and cross-checks against the
-    closed-form oracles wherever one covers (m, n).  The sector regions are
-    computed by ``map`` over l in order; pass an executor's ``map`` to spread
-    them over worker processes.
+    is; the engine certifies up to l_max and always cross-checks against the
+    closed-form oracles wherever one covers (m, n), raising AssertionError
+    on a disagreement.  The sector regions are computed by ``map`` over l in
+    order; pass an executor's ``map`` to spread them over worker processes.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
@@ -435,14 +396,13 @@ def esa_region_full(m: int, n: int, l_max: int = 50, crosscheck: bool = True,
             else intersect_pieces(pieces, region.pieces)
     result = EsaRegion(m=m, n=n, pieces=pieces, boundary_candidates=[],
                        certified_up_to_l=l_max, warnings=all_warnings)
-    if crosscheck:
-        oracle = oracle_threshold(m, n)
-        if oracle is not None:
-            if not result.equals(oracle):
-                raise AssertionError(
-                    f"engine region {result.render()} disagrees with the "
-                    f"closed-form region {oracle.render()} for (m, n) = ({m}, {n})")
-            result.oracle_checked = "closed-form"
+    oracle = oracle_threshold(m, n)
+    if oracle is not None:
+        if not result.equals(oracle):
+            raise AssertionError(
+                f"engine region {result.render()} disagrees with the "
+                f"closed-form region {oracle.render()} for (m, n) = ({m}, {n})")
+        result.oracle_checked = "closed-form"
     return result
 
 

@@ -273,7 +273,14 @@ def value_compare(a, b) -> int:
 
 def exact_real_roots(p: RationalPolynomial) -> list:
     """Distinct real roots of p, sorted; Fraction where recognized rational,
-    AlgebraicReal otherwise."""
+    AlgebraicReal otherwise.
+
+    The isolating intervals of the result (a point for a Fraction) are
+    strictly increasing and pairwise disjoint.  The comparison sort compares
+    every pair that ends up adjacent, and `value_compare` returns only once
+    the two intervals (or the point and the interval) are strictly apart;
+    intervals only shrink afterwards.
+    """
     import functools as _ft
 
     out = []

@@ -728,46 +728,31 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return fl + 1 / simplest_between(1 / (hi - fl), 1 / frac_lo)
 
 
-def rational_roots(p: RationalPolynomial, max_rounds: int = 4,
-                   bisections_per_round: int = 8) -> list:
+_PROBE_ROUNDS = 4
+_BISECTIONS_PER_ROUND = 8
+
+
+def rational_roots(p: RationalPolynomial) -> list:
     """Rational roots of a square-free polynomial, found exactly.
 
     Real roots are isolated and their intervals probed with the simplest
     rational they contain; a candidate counts only if p vanishes at it
-    exactly.  Roots with denominators beyond the refinement reach (about
-    2^-32 interval width) are simply not reported; callers treat the
-    remainder numerically.
+    exactly.  Each of 4 rounds probes once and then bisects 8 times.  Roots
+    with denominators beyond that reach (about 2^-32 interval width) are
+    simply not reported; callers treat the remainder numerically.
     """
     out = []
-    ic = None
     for lo, hi in isolate_real_roots(p):
-        if lo == hi:
-            out.append(lo)
-            continue
-        if ic is None:
-            ic = _primitive_int(_int_coeffs(p))
-        slo = _sign_at(ic, lo.numerator, lo.denominator)
-        found = None
-        for _ in range(max_rounds):
+        for _ in range(_PROBE_ROUNDS):
+            if lo == hi:
+                break
             w = hi - lo
             cand = simplest_between(lo + w / 8, hi - w / 8)
-            sc = _sign_at(ic, cand.numerator, cand.denominator)
-            if sc == 0:
-                found = cand
+            if p(cand) == 0:
+                lo = hi = cand
                 break
-            target = w / 2 ** bisections_per_round
-            while hi - lo > target:
-                mid = (lo + hi) / 2
-                sm = _sign_at(ic, mid.numerator, mid.denominator)
-                if sm == 0:
-                    found = mid
-                    break
-                if sm == slo:
-                    lo = mid
-                else:
-                    hi = mid
-            if found is not None:
-                break
-        if found is not None:
-            out.append(found)
+            lo, hi = refine_isolating_interval(p, lo, hi,
+                                               w / 2 ** _BISECTIONS_PER_ROUND)
+        if lo == hi:
+            out.append(lo)
     return sorted(out)

@@ -45,6 +45,7 @@ import mpmath as mp
 
 from .exact import RationalPolynomial, as_fraction
 from .indicial import EulerParams, euler_quartic, quartic_roots_closed_form
+from .roots import START_BITS
 
 
 class ResonanceError(ValueError):
@@ -265,7 +266,7 @@ def _g_descriptor(kind: SolutionKind, alphas: Sequence, order: Sequence,
 
 
 def select_fundamental_system(c1, c2, lam=None,
-                              precision_bits: int = 128) -> BasisSelection:
+                              precision_bits: int = START_BITS) -> BasisSelection:
     """Fundamental-system descriptors for the eigenvalue equation at (c1, c2).
 
     The case analysis follows the resonance classification; G-function
@@ -402,7 +403,7 @@ def ode_defect(sel: BasisSelection, index: int, c1, c2, lam, r,
         raise ValueError("need r > 0")
     _check_parameters(desc.parameters)
     quartic = euler_quartic(c1, c2)
-    prec = max(128, int(-math.log2(tol)) + 80)
+    prec = max(START_BITS, int(-math.log2(tol)) + 80)
     # re-derive the exponents at working precision; the descriptor stores
     # them as doubles, which would floor the residual near 1e-15
     hi = quartic_roots_closed_form(EulerParams(c1=as_fraction(c1), c2=as_fraction(c2)),

@@ -33,6 +33,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .exact import RationalPolynomial, as_fraction
+from .roots import START_BITS
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,8 @@ def _outer_radicand_sign(s: Fraction, inner_radicand: Fraction, plus: bool) -> i
     return (s2 > b16) - (s2 < b16)
 
 
-def quartic_roots_closed_form(params: EulerParams, precision_bits: int = 128) -> tuple:
+def quartic_roots_closed_form(params: EulerParams,
+                              precision_bits: int = START_BITS) -> tuple:
     """The four characteristic exponents of the quartic family, closed form.
 
     Returns (a1, a2, a3, a4) as mpmath complex numbers with

@@ -11,8 +11,9 @@ Strategy: exact square-free decomposition first, then per square-free factor
    |x - nearest root| <= deg * |f(x)| / |f'(x)|, evaluated in exact rational
    arithmetic at the dyadic center (mpmath supplies candidates only, never
    the certificate);
-4. precision doubles until all disks are pairwise disjoint, in which case
-   each disk provably contains exactly one root.
+4. precision doubles from START_BITS up to MAX_BITS until all disks are
+   pairwise disjoint, in which case each disk provably contains exactly one
+   root.
 
 The disks feed the numeric trajectory output only, and serve the tests as
 an oracle independent of the exact half-plane count in the stability layer;
@@ -21,6 +22,7 @@ no verdict is taken from them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +33,12 @@ import mpmath as mp
 from .exact import (RationalPolynomial, as_fraction, rational_roots,
                     square_free_decomposition)
 
+START_BITS = 128   # first working precision of every numeric root computation
+MAX_BITS = 4096    # certified_roots gives up beyond this precision
+
 
 class PrecisionExceededError(RuntimeError):
-    """Raised when the certification ladder tops out (default 4096 bits)."""
+    """Raised when root disks are still not separated at MAX_BITS."""
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -70,13 +75,6 @@ class CertifiedRoot:
     @property
     def exact(self) -> bool:
         return self.radius == 0
-
-    def as_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def as_mpc(self, ctx=mp.mp):
-        return ctx.mpc(ctx.mpf(self.re.numerator) / ctx.mpf(self.re.denominator),
-                       ctx.mpf(self.im.numerator) / ctx.mpf(self.im.denominator))
 
     def to_json(self) -> dict:
         return {
@@ -241,26 +239,23 @@ def _pairwise_disjoint(disks: list) -> bool:
     return True
 
 
-def certified_roots(p: RationalPolynomial, precision_bits: int = 128,
-                    max_bits: int = 4096, square_free: bool = False,
-                    extract_rationals: bool = True) -> OrderedRootSet:
+def certified_roots(p: RationalPolynomial,
+                    precision_bits: int = START_BITS) -> OrderedRootSet:
     """All complex roots of p as certified disks covering every root.
 
-    Raises PrecisionExceededError if pairwise-disjoint certification is not
-    reached by `max_bits` working precision (never returns silently inexact
-    output).  Callers that already know p is square-free (or free of
-    rational roots) can skip the corresponding exact preprocessing.
+    The working precision starts at `precision_bits` and doubles until the
+    disks are pairwise disjoint.  Raises PrecisionExceededError if that is
+    not reached by MAX_BITS (never returns silently inexact output).
+    Rational roots are split off exactly and carry radius zero.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    factors = [(p.monic(), 1)] if square_free else square_free_decomposition(p)
     exact_roots = []   # (value, multiplicity)
     numeric_jobs = []  # (factor, multiplicity)
-    for f, mult in factors:
-        if extract_rationals:
-            for r in rational_roots(f):
-                f = f.divide_exact(RationalPolynomial((-r, 1)))
-                exact_roots.append((r, mult))
+    for f, mult in square_free_decomposition(p):
+        for r in rational_roots(f):
+            f = f.divide_exact(RationalPolynomial((-r, 1)))
+            exact_roots.append((r, mult))
         if f.degree >= 1:
             numeric_jobs.append((f.monic(), mult))
 
@@ -280,7 +275,7 @@ def certified_roots(p: RationalPolynomial, precision_bits: int = 128,
         if ok and _pairwise_disjoint([(r.re, r.im, r.radius) for r in roots]):
             roots.sort(key=lambda r: (r.re, r.im))
             return OrderedRootSet(roots=tuple(roots), source=p, precision_bits=prec)
-        if prec >= max_bits:
+        if prec >= MAX_BITS:
             raise PrecisionExceededError(
                 f"root disks not separated at {prec} bits "
                 f"(degree {p.degree}); inputs may have clustered roots")
@@ -329,8 +324,8 @@ class TrajectoryPoint:
 
 
 def trajectory_table(poly_family: Callable[[Fraction], RationalPolynomial],
-                     grid: Sequence, precision_bits: int = 128,
-                     root_sets: Sequence = None) -> list:
+                     grid: Sequence, precision_bits: int = START_BITS,
+                     map=map) -> list:
     """Root trajectories of a one-parameter polynomial family over a grid.
 
     Labels are assigned by sorted order at the first grid point and carried
@@ -339,20 +334,21 @@ def trajectory_table(poly_family: Callable[[Fraction], RationalPolynomial],
     ambiguous when a competing assignment would have been nearly as close
     (within the certified radii plus 25% of the matched distance).
 
-    Root sets may be precomputed (e.g. concurrently, one per grid point) and
-    passed in; the labeling pass itself is sequential by construction.
+    The polynomials are built in order; their root sets are computed by
+    ``map``, which returns them in grid order.  Pass an executor's ``map`` to
+    spread them over worker processes.  The labeling pass is sequential by
+    construction.
     """
     grid = [as_fraction(c) for c in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    if root_sets is None:
-        root_sets = [certified_roots(poly_family(c), precision_bits=precision_bits)
-                     for c in grid]
-    return label_trajectories(grid, root_sets)
+    polys = [poly_family(c) for c in grid]
+    roots_of = functools.partial(certified_roots, precision_bits=precision_bits)
+    return label_trajectories(grid, list(map(roots_of, polys)))
 
 
 def label_trajectories(grid: Sequence, root_sets: Sequence) -> list:
-    """Sequential nearest-neighbor labeling pass over precomputed root sets."""
+    """Sequential nearest-neighbor labeling pass over root sets, one per grid point."""
     import numpy as np
     from scipy.optimize import linear_sum_assignment
 
@@ -397,12 +393,15 @@ def trajectory_csv_rows(points: Sequence[TrajectoryPoint]) -> list:
     return [header] + body
 
 
-def root_trajectories(m: int, n: int, l: int, c_grid: Sequence,
-                      precision_bits: int = 128) -> list:
-    """Trajectories of the indicial roots of the radial operator over a c-grid."""
+def _indicial_polynomial(m: int, n: int, l: int, c) -> RationalPolynomial:
+    # imported here because indicial imports this module
     from .indicial import IndicialSpec, build_indicial
 
-    def family(c):
-        return build_indicial(IndicialSpec(m=m, n=n, l=l, c=c))
+    return build_indicial(IndicialSpec(m=m, n=n, l=l, c=c))
 
-    return trajectory_table(family, c_grid, precision_bits=precision_bits)
+
+def root_trajectories(m: int, n: int, l: int, c_grid: Sequence, map=map) -> list:
+    """Trajectories of the indicial roots of the radial operator over a c-grid,
+    with the root sets computed by ``map`` (see `trajectory_table`)."""
+    return trajectory_table(functools.partial(_indicial_polynomial, m, n, l),
+                            c_grid, map=map)

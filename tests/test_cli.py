@@ -177,6 +177,42 @@ class TestFigureCommand:
         assert region_rows[0] == ["c1", "c2", "esa_flag"]
         assert {r[2] for r in region_rows[1:]} == {"0", "1"}
 
+    @pytest.mark.parametrize("argv", (
+        ["--which", "fig1", "--c1", "-3", "--steps", "6"],
+        ["--which", "fig3", "--steps", "3"],
+    ))
+    def test_pool_matches_sequential(self, capsys, tmp_path, argv):
+        written = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            code, _, _ = invoke(capsys, ["figure", *argv, "--out", str(out),
+                                         "--jobs", jobs])
+            assert code == 0
+            written[jobs] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        assert written["1"] and written["1"] == written["2"]
+
+
+@pytest.mark.parametrize("argv", (
+    ["figure", "--which", "fig1", "--c1", "-3", "--steps", "1"],
+    ["figure", "--which", "fig3", "--steps", "1"],
+    ["figure", "--which", "fig1", "--c1", "-3", "--steps", "0"],
+    ["figure", "--which", "fig1", "--c1", "-3", "--steps", "3",
+     "--sweep-min", "5", "--sweep-max", "5"],
+    ["region", "--m", "2", "--n", "5", "--all-l", "--lmax", "-1"],
+    ["region", "--m", "2", "--n", "5", "--l", "-1"],
+    ["decide", "--m", "0", "--n", "5", "--c", "0"],
+    ["decide", "--m", "2", "--n", "1", "--c", "0"],
+))
+def test_out_of_range_arguments_exit_two(capsys, tmp_path, argv):
+    if argv[0] == "figure":
+        argv = argv + ["--out", str(tmp_path)]
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert not list(tmp_path.glob("*.csv"))
+
 
 class TestBasisCommand:
     def test_generic(self, capsys):
@@ -217,7 +253,7 @@ class TestConjectureCommand:
 class TestConfig:
     def test_config_file_changes_default_lmax(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
-        cfg.write_text("l_max = 3\n# comment\nprecision_ladder = 128, 512\n")
+        cfg.write_text("l_max = 3\n# comment\nconjecture_m_cap = 12\n")
         _, out, _ = invoke(capsys, ["--config", str(cfg), "region", "--m", "2",
                                     "--n", "8", "--all-l", "--json"])
         payload = json.loads(out)
@@ -241,6 +277,12 @@ class TestConfig:
     def test_removed_series_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("series_max_terms = 1000\n")
+        with pytest.raises(ValueError, match="unknown config key"):
+            run(["--config", str(cfg), "table", "--which", "gamma2"])
+
+    def test_removed_precision_ladder_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("precision_ladder = 128, 256\n")
         with pytest.raises(ValueError, match="unknown config key"):
             run(["--config", str(cfg), "table", "--which", "gamma2"])
 

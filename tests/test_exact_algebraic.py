@@ -1,7 +1,10 @@
+import math
 import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from esacert.exact import (AlgebraicReal, RationalPolynomial, algebraic_refine,
                            exact_real_roots, sqrt_bounds, value_compare)
@@ -91,6 +94,46 @@ def test_exact_real_roots_mixed():
     assert value_compare(roots[0], roots[1]) < 0
     assert value_compare(roots[1], roots[2]) < 0
     assert value_compare(roots[2], roots[3]) < 0
+
+
+_small_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 8))
+_radicands = st.builds(F, st.integers(1, 60), st.integers(1, 9))
+
+
+def _is_square(q: F) -> bool:
+    return all(math.isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
+
+
+@st.composite
+def known_real_roots(draw):
+    """(polynomial, its distinct real roots as floats) from rational roots
+    and quadratic surds a +- sqrt(b), with repeated factors and a non-real
+    pair mixed in."""
+    rationals = draw(st.sets(_small_rationals, max_size=4))
+    surds = {(a, b) for a, b in draw(st.sets(st.tuples(_small_rationals, _radicands),
+                                             max_size=3)) if not _is_square(b)}
+    assume(rationals or surds)
+    p = RationalPolynomial.one()
+    for r in rationals:
+        p = p * (Z - r) ** draw(st.integers(1, 2))
+    for a, b in surds:
+        p = p * ((Z - a) ** 2 - b) ** draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        p = p * (Z * Z + 1)
+    want = sorted([float(r) for r in rationals]
+                  + [float(a) + s * math.sqrt(b) for a, b in surds for s in (-1, 1)])
+    return p, want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(known_real_roots())
+def test_exact_real_roots_strictly_increasing_disjoint(case):
+    p, want = case
+    roots = exact_real_roots(p)
+    ivs = [r.interval if isinstance(r, AlgebraicReal) else (r, r) for r in roots]
+    assert all(lo <= hi for lo, hi in ivs)
+    assert all(a[1] < b[0] for a, b in zip(ivs, ivs[1:]))
+    assert [float(r) for r in roots] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_sqrt_bounds():
