@@ -6,8 +6,7 @@ Layers:
 
 * ``esacert.exact``     exact rationals, polynomials, Sturm isolation,
                         determinants and characteristic polynomials,
-                        algebraic reals (polynomial-matrix determinants
-                        serve as a test oracle);
+                        algebraic reals;
 * ``esacert.roots``     certified complex root disks (Aberth iteration with
                         exact a-posteriori certification) for numeric
                         output and as a test oracle;
@@ -24,9 +23,7 @@ Layers:
 * ``esacert.cli``       the command-line front end.
 """
 
-from .exact import (AlgebraicReal, PolynomialMatrix, Rational,
-                    RationalPolynomial, algebraic_refine, poly_shift,
-                    polymatrix_det, sturm_isolate)
+from .exact import AlgebraicReal, Rational, RationalPolynomial, sturm_isolate
 from .indicial import (EulerParams, IndicialSpec, build_indicial,
                        euler_params, euler_quartic, quartic_roots_closed_form)
 from .roots import (CertifiedRoot, OrderedRootSet, PrecisionExceededError,
@@ -34,7 +31,7 @@ from .roots import (CertifiedRoot, OrderedRootSet, PrecisionExceededError,
 from .stability import (HalfPlaneCount, HurwitzData, axis_roots_exact,
                         disc_q3, halfplane_count, hurwitz_assemble,
                         quartic_classify)
-from .esa import (EsaRegion, EsaVerdict, Threshold, Verdict,
+from .esa import (EsaRegion, EsaVerdict, Verdict,
                   conjecture_explore, esa_decide_radial, esa_region_full,
                   esa_region_radial, gamma_threshold, oracle_threshold,
                   power_zero_coupling)
@@ -47,16 +44,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraicReal", "BasisSelection", "CertifiedRoot", "EsaRegion",
     "EsaVerdict", "EulerParams", "HalfPlaneCount", "HurwitzData",
-    "IndicialSpec", "OrderedRootSet", "PolynomialMatrix",
-    "PrecisionExceededError", "Rational", "RationalPolynomial",
-    "ResonanceClassification", "Threshold", "Verdict", "algebraic_refine",
+    "IndicialSpec", "OrderedRootSet", "PrecisionExceededError", "Rational",
+    "RationalPolynomial", "ResonanceClassification", "Verdict",
     "axis_roots_exact", "build_indicial", "certified_roots",
     "classify_resonance", "conjecture_explore", "disc_q3",
     "esa_decide_radial", "esa_region_full", "esa_region_radial",
     "euler_params", "euler_quartic", "eval_0F3", "gamma_threshold",
     "halfplane_count", "hurwitz_assemble", "ode_residual",
-    "oracle_threshold", "poly_shift", "polymatrix_det", "power_zero_coupling",
-    "quartic_classify", "quartic_roots_closed_form", "real_part_position",
+    "oracle_threshold", "power_zero_coupling", "quartic_classify",
+    "quartic_roots_closed_form", "real_part_position",
     "resonance_geometry_table", "root_trajectories",
     "select_fundamental_system", "sturm_isolate",
 ]

@@ -154,7 +154,7 @@ def cmd_table(args, cfg: EngineConfig, echo) -> int:
     rows = []
     if args.which == "gamma2":
         for n in range(2, 13):
-            got = gamma_threshold(2, n, 0).value
+            got = gamma_threshold(2, n, 0)
             want = golden.GAMMA2_TABLE[n]
             rows.append((n, got, want))
             if got != want:
@@ -262,7 +262,7 @@ def cmd_figure(args, cfg: EngineConfig, echo) -> int:
 
 def cmd_basis(args, cfg: EngineConfig, echo) -> int:
     lam = args.lam if args.lam is not None else Fraction(1)
-    sel = select_fundamental_system(args.c1, args.c2, lam)
+    sel = select_fundamental_system(args.c1, args.c2)
     if args.json:
         spec = {"c1": str(args.c1), "c2": str(args.c2), "lambda": str(lam)}
         print(_dump_json(_envelope(echo, spec, sel.to_json())))
@@ -292,6 +292,10 @@ def cmd_basis(args, cfg: EngineConfig, echo) -> int:
 
 
 def cmd_conjecture(args, cfg: EngineConfig, echo) -> int:
+    if args.mmax > cfg.conjecture_m_cap:
+        print(f"conjecture: --mmax exceeds the configured cap "
+              f"{cfg.conjecture_m_cap}", file=sys.stderr)
+        return EXIT_USAGE
     rows = conjecture_explore(args.mmax, m_cap=cfg.conjecture_m_cap)
     if args.json:
         result = {"rows": [{
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=nonnegative, default=None)
     p.add_argument("--all-l", action="store_true", dest="all_l")
     p.add_argument("--lmax", type=nonnegative, default=None)
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=positive, default=6)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
@@ -368,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("conjecture", help="threshold growth exploration table")
-    p.add_argument("--mmax", type=int, default=8)
+    p.add_argument("--mmax", type=positive, default=8)
     p.add_argument("--json", action="store_true")
 
     for choices in sub.choices.values():

@@ -53,33 +53,20 @@ class _PosInf:
         return (_pos_inf, ())
 
 
-class _NegInf:
-    def __repr__(self):
-        return "-inf"
-
-    def __reduce__(self):
-        return (_neg_inf, ())
-
-
 POS_INF = _PosInf()
-NEG_INF = _NegInf()
 
 
 def _pos_inf():
     return POS_INF
 
 
-def _neg_inf():
-    return NEG_INF
-
-
 def value_cmp(a, b) -> int:
-    """Exact three-way comparison of Fraction/AlgebraicReal values with infinities."""
+    """Exact three-way comparison of Fraction/AlgebraicReal values and POS_INF."""
     if a is b:
         return 0
-    if a is NEG_INF or b is POS_INF:
+    if b is POS_INF:
         return -1
-    if a is POS_INF or b is NEG_INF:
+    if a is POS_INF:
         return 1
     return value_compare(a, b)
 
@@ -91,8 +78,6 @@ def value_eq(a, b) -> bool:
 def value_to_json(v) -> dict:
     if v is POS_INF:
         return {"type": "infinity", "sign": 1}
-    if v is NEG_INF:
-        return {"type": "infinity", "sign": -1}
     if isinstance(v, AlgebraicReal):
         return v.to_json()
     return {"type": "rational", "value": str(as_fraction(v))}
@@ -101,8 +86,6 @@ def value_to_json(v) -> dict:
 def render_value(v, digits: int = 6) -> str:
     if v is POS_INF:
         return "∞"
-    if v is NEG_INF:
-        return "-∞"
     if isinstance(v, AlgebraicReal):
         return v.decimal(digits)
     v = as_fraction(v)
@@ -285,14 +268,13 @@ def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
     warnings = []
     for i, v in enumerate(candidates):
         adjacent = cell_esa[i] or cell_esa[i + 1]
-        if isinstance(v, AlgebraicReal) and not v.is_rational:
+        if isinstance(v, AlgebraicReal):
             member.append(adjacent)
             if not adjacent:
                 warnings.append(
                     f"indeterminate isolated boundary candidate near {v.decimal(8)}")
         else:
-            val = v.rational_value if isinstance(v, AlgebraicReal) else v
-            is_in = decide(val)
+            is_in = decide(v)
             if adjacent and not is_in:
                 raise AssertionError("boundary candidate adjacent to an ESA interval "
                                      "must satisfy the criterion (closedness)")
@@ -320,23 +302,7 @@ def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
 # -- thresholds ------------------------------------------------------------------
 
 
-class ThresholdSource(Enum):
-    ENGINE = "engine"
-    CLOSED_FORM = "closed-form"
-
-
-@dataclass(frozen=True)
-class Threshold:
-    value: Value
-    kind: str = "largest-boundary"
-    source: ThresholdSource = ThresholdSource.ENGINE
-
-    def to_json(self) -> dict:
-        return {"value": value_to_json(self.value), "kind": self.kind,
-                "source": self.source.value}
-
-
-def gamma_threshold(m: int, n: int, l: int) -> Threshold:
+def gamma_threshold(m: int, n: int, l: int) -> Value:
     """Largest finite boundary point of the radial ESA region."""
     region = esa_region_radial(m, n, l)
     finite = []
@@ -345,7 +311,7 @@ def gamma_threshold(m: int, n: int, l: int) -> Threshold:
         if p.hi is not POS_INF:
             finite.append(p.hi)
     finite.sort(key=functools.cmp_to_key(value_cmp))
-    return Threshold(value=finite[-1], source=ThresholdSource.ENGINE)
+    return finite[-1]
 
 
 # -- intersections and full-operator regions ----------------------------------------
@@ -490,7 +456,7 @@ def conjecture_explore(m_max: int = 12, m_cap: int = 12) -> list:
                          "(degree-2m determinants grow quickly)")
     rows = []
     for m in range(1, m_max + 1):
-        thr = gamma_threshold(m, 3, 0).value
+        thr = gamma_threshold(m, 3, 0)
         approx_scale = mp.mpf(2 * m * m) / mp.pi
         approx = approx_scale ** (2 * m)
         if isinstance(thr, AlgebraicReal):

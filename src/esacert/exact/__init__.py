@@ -13,7 +13,6 @@ from .poly import (
     discriminant,
     isolate_real_roots,
     poly_gcd,
-    poly_shift,
     primitive_part,
     rational_roots,
     refine_isolating_interval,
@@ -23,31 +22,23 @@ from .poly import (
     square_free_part,
     sturm_isolate,
 )
-from .matrix import PolynomialMatrix, det_cofactor, lagrange_interpolate, polymatrix_det
-from .algebraic import (AlgebraicReal, algebraic_refine, exact_real_roots,
-                        sqrt_bounds, value_compare)
+from .algebraic import AlgebraicReal, exact_real_roots, sqrt_bounds, value_compare
 
 __all__ = [
     "Rational",
     "RationalPolynomial",
-    "PolynomialMatrix",
     "AlgebraicReal",
     "as_fraction",
-    "algebraic_refine",
     "cauchy_index",
     "cauchy_root_bound",
     "char_poly",
     "count_real_roots",
-    "det_cofactor",
     "det_fractions",
     "discriminant",
     "exact_real_roots",
     "value_compare",
     "isolate_real_roots",
-    "lagrange_interpolate",
     "poly_gcd",
-    "poly_shift",
-    "polymatrix_det",
     "primitive_part",
     "rational_roots",
     "refine_isolating_interval",

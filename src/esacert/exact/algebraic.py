@@ -81,15 +81,6 @@ class AlgebraicReal:
         return cls(RationalPolynomial((-q, 1)), q, q, validate=False)
 
     @classmethod
-    def from_sqrt(cls, q) -> "AlgebraicReal":
-        """The nonnegative square root of a rational q >= 0."""
-        q = as_fraction(q)
-        lo, hi = sqrt_bounds(q, Fraction(1, 1 << 16))
-        if lo * lo == q:
-            return cls.from_rational(lo)
-        return cls(RationalPolynomial((-q, 0, 1)), lo, hi)
-
-    @classmethod
     def from_quadratic_surd(cls, a, b, c) -> "AlgebraicReal":
         """The number a + b*sqrt(c) with a, b, c rational and c >= 0."""
         a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
@@ -256,11 +247,6 @@ class AlgebraicReal:
         }
 
 
-def algebraic_refine(x: AlgebraicReal, width) -> tuple:
-    """Isolating interval of x with width <= width (deterministic bisection)."""
-    return x.refine(width)
-
-
 def value_compare(a, b) -> int:
     """Exact three-way comparison of Fraction/AlgebraicReal values."""
     if isinstance(a, AlgebraicReal):
@@ -272,8 +258,8 @@ def value_compare(a, b) -> int:
 
 
 def exact_real_roots(p: RationalPolynomial) -> list:
-    """Distinct real roots of p, sorted; Fraction where recognized rational,
-    AlgebraicReal otherwise.
+    """Distinct real roots of p, sorted; Fraction for the rational ones,
+    AlgebraicReal (never rational) for the others.
 
     The isolating intervals of the result (a point for a Fraction) are
     strictly increasing and pairwise disjoint.  The comparison sort compares
@@ -290,10 +276,7 @@ def exact_real_roots(p: RationalPolynomial) -> list:
             g = g.divide_exact(RationalPolynomial((-r, 1)))
             out.append(r)
         if g.degree > 0:
-            for lo, hi in isolate_real_roots(g):
-                if lo == hi:
-                    out.append(lo)
-                else:
-                    out.append(AlgebraicReal(g, lo, hi, validate=False))
+            out.extend(AlgebraicReal(g, lo, hi, validate=False)
+                       for lo, hi in isolate_real_roots(g))
     out.sort(key=_ft.cmp_to_key(value_compare))
     return out

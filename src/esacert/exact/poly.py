@@ -4,8 +4,7 @@ Coefficients are ``fractions.Fraction`` values stored densely in ascending
 order (index = power).  Everything in this module is exact; no floating
 point enters any code path.  Provided machinery:
 
-* ring arithmetic, Taylor shift ``p(z + a)``, affine substitution
-  ``p(b0 + b1*z)``, even/odd splitting,
+* ring arithmetic, Taylor shift ``p(z + a)``, even/odd splitting,
 * exact Euclidean division, gcd with primitive-part normalization,
   Yun square-free decomposition,
 * Sturm chains and signed remainder sequences (primitive,
@@ -13,8 +12,8 @@ point enters any code path.  Provided machinery:
   disjoint rational intervals, bisection refinement,
 * resultants and discriminants via exact Sylvester determinants,
   characteristic polynomials (Berkowitz),
-* rational-root detection by continued-fraction probing of isolating
-  intervals.
+* complete rational-root detection (rational root theorem on refined
+  isolating intervals).
 
 Sign evaluation of an integer polynomial at a rational point is done with
 integer arithmetic only (clearing the denominator), which keeps Sturm
@@ -224,14 +223,6 @@ class RationalPolynomial:
                 binom = binom * (j - k) // (k + 1)
         return RationalPolynomial(out)
 
-    def compose_affine(self, b0, b1) -> "RationalPolynomial":
-        """Returns q with q(z) = p(b0 + b1*z), exactly."""
-        arg = RationalPolynomial((b0, b1))
-        acc = RationalPolynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + RationalPolynomial.constant(c)
-        return acc
-
     def even_odd_split(self) -> tuple:
         """Returns (E, O) with p(z) = E(z^2) + z*O(z^2)."""
         even = RationalPolynomial(self.coeffs[0::2])
@@ -289,11 +280,6 @@ class RationalPolynomial:
 
 
 # -- module-level helpers -----------------------------------------------------
-
-
-def poly_shift(p: RationalPolynomial, a) -> RationalPolynomial:
-    """q(z) = p(z + a), exactly."""
-    return p.shift(a)
 
 
 def _int_coeffs(p: RationalPolynomial) -> list:
@@ -569,10 +555,6 @@ def refine_isolating_interval(p: RationalPolynomial, lo: Fraction, hi: Fraction,
     return lo, hi
 
 
-def _sign_of(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def sturm_isolate(p: RationalPolynomial) -> list:
     """Disjoint isolating intervals for all real roots of p, with multiplicity.
 
@@ -728,31 +710,32 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return fl + 1 / simplest_between(1 / (hi - fl), 1 / frac_lo)
 
 
-_PROBE_ROUNDS = 4
-_BISECTIONS_PER_ROUND = 8
-
-
 def rational_roots(p: RationalPolynomial) -> list:
-    """Rational roots of a square-free polynomial, found exactly.
+    """All rational roots of a square-free polynomial, found exactly.
 
-    Real roots are isolated and their intervals probed with the simplest
-    rational they contain; a candidate counts only if p vanishes at it
-    exactly.  Each of 4 rounds probes once and then bisects 8 times.  Roots
-    with denominators beyond that reach (about 2^-32 interval width) are
-    simply not reported; callers treat the remainder numerically.
+    A root u/v in lowest terms of the primitive integer polynomial with
+    leading coefficient lc has v | lc (rational root theorem), so it is a
+    multiple of 1/|lc|.  Each isolating interval is first probed with the
+    simplest rational it contains, then bisected to width <= 1/|lc|; its
+    endpoints are not roots, so the open interval then holds at most one
+    multiple of 1/|lc|, which is tested exactly.
     """
+    if p.degree < 1:
+        return []
+    lc = abs(_primitive_int(_int_coeffs(p))[-1])
     out = []
     for lo, hi in isolate_real_roots(p):
-        for _ in range(_PROBE_ROUNDS):
-            if lo == hi:
-                break
+        if lo < hi:
             w = hi - lo
             cand = simplest_between(lo + w / 8, hi - w / 8)
             if p(cand) == 0:
                 lo = hi = cand
-                break
-            lo, hi = refine_isolating_interval(p, lo, hi,
-                                               w / 2 ** _BISECTIONS_PER_ROUND)
+            else:
+                lo, hi = refine_isolating_interval(p, lo, hi, Fraction(1, lc))
+        if lo < hi:
+            cand = Fraction(math.floor(lo * lc) + 1, lc)
+            if cand < hi and p(cand) == 0:
+                lo = hi = cand
         if lo == hi:
             out.append(lo)
     return sorted(out)

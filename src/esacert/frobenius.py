@@ -265,18 +265,16 @@ def _g_descriptor(kind: SolutionKind, alphas: Sequence, order: Sequence,
                               parameters=params, argument_negated=negated)
 
 
-def select_fundamental_system(c1, c2, lam=None,
-                              precision_bits: int = START_BITS) -> BasisSelection:
+def select_fundamental_system(c1, c2) -> BasisSelection:
     """Fundamental-system descriptors for the eigenvalue equation at (c1, c2).
 
     The case analysis follows the resonance classification; G-function
     parameter orderings are fixed structural data per case.  The spectral
     parameter lambda only scales the common argument and does not influence
-    the selection.
+    the selection, so it is not a parameter.
     """
     cls = classify_resonance(c1, c2)
-    a = quartic_roots_closed_form(EulerParams(c1=as_fraction(c1), c2=as_fraction(c2)),
-                                  precision_bits=precision_bits)
+    a = quartic_roots_closed_form(EulerParams(c1=as_fraction(c1), c2=as_fraction(c2)))
     nl, np_ = len(cls.lines), len(cls.parabolas)
     if nl == 0 and np_ == 0:
         sols = tuple(_series_descriptor(a, i) for i in range(4))

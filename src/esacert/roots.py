@@ -87,7 +87,7 @@ class CertifiedRoot:
 
 @dataclass
 class OrderedRootSet:
-    """Roots sorted by (real part, imaginary part), with the symmetric pairing."""
+    """Roots sorted by (real part, imaginary part)."""
 
     roots: tuple
     source: RationalPolynomial
@@ -96,11 +96,6 @@ class OrderedRootSet:
     @property
     def degree(self) -> int:
         return sum(r.multiplicity for r in self.roots)
-
-    def pairing(self) -> dict:
-        """Index pairing j <-> d - j + 1 (1-based) over roots with multiplicity."""
-        d = self.degree
-        return {j: d - j + 1 for j in range(1, d + 1)}
 
     def expanded(self) -> list:
         """Roots repeated by multiplicity, in sorted order."""

@@ -36,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from .exact import (AlgebraicReal, PolynomialMatrix, RationalPolynomial,
-                    as_fraction, cauchy_index, char_poly, count_real_roots,
-                    det_fractions, discriminant, exact_real_roots, poly_gcd,
-                    square_free_decomposition, sturm_isolate)
+from .exact import (AlgebraicReal, RationalPolynomial, cauchy_index,
+                    char_poly, count_real_roots, det_fractions, discriminant,
+                    exact_real_roots, poly_gcd, square_free_decomposition,
+                    sturm_isolate)
 from .indicial import euler_quartic, indicial_base
 
 CRITICAL_RE = Fraction(-1, 2)
@@ -51,34 +51,20 @@ CRITICAL_RE = Fraction(-1, 2)
 def hurwitz_matrix(descending_coeffs) -> list:
     """Rows of the Hurwitz matrix for the given descending coefficients.
 
-    Entry (i, j) (1-based) is a_{2j-i}; works for numeric (Fraction) and
-    symbolic (RationalPolynomial) coefficient entries alike.
+    Entry (i, j) (1-based) is a_{2j-i}, and Fraction(0) outside 0..n.
     """
     n = len(descending_coeffs) - 1
-    zero = (RationalPolynomial.zero()
-            if isinstance(descending_coeffs[0], RationalPolynomial) else Fraction(0))
 
     def a(k: int):
-        return descending_coeffs[k] if 0 <= k <= n else zero
+        return descending_coeffs[k] if 0 <= k <= n else Fraction(0)
 
     return [[a(2 * j - i) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def euler_hurwitz_matrix(c1, c2=None):
-    """Hurwitz matrix of the centered indicial quartic.
-
-    With c2 given: a numeric 4x4 Fraction matrix.  With c2 = None: a
-    PolynomialMatrix in c2 (which enters the constant coefficient only).
-    """
-    c1 = as_fraction(c1)
-    base = euler_quartic(c1, 0).shift(CRITICAL_RE)
-    if c2 is not None:
-        shifted = euler_quartic(c1, c2).shift(CRITICAL_RE)
-        return hurwitz_matrix(shifted.descending())
-    desc = list(base.descending())
-    entries = [RationalPolynomial.constant(c) for c in desc]
-    entries[-1] = RationalPolynomial((desc[-1], 1))  # constant coefficient + c2
-    return PolynomialMatrix(hurwitz_matrix(entries))
+def euler_hurwitz_matrix(c1, c2) -> list:
+    """Numeric 4x4 Hurwitz matrix of the centered indicial quartic."""
+    shifted = euler_quartic(c1, c2).shift(CRITICAL_RE)
+    return hurwitz_matrix(shifted.descending())
 
 
 @dataclass(frozen=True)

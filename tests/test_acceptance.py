@@ -34,7 +34,7 @@ def report(criterion: int, detail: str, started: float):
 def test_criterion_1_fourth_order_threshold_table():
     started = time.perf_counter()
     for n in range(2, 13):
-        got = gamma_threshold(2, n, 0).value
+        got = gamma_threshold(2, n, 0)
         assert got == golden.GAMMA2_TABLE[n], f"n={n}: {got}"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -87,7 +87,7 @@ def test_criterion_4_fourth_order_full_regions():
         assert region.pieces[0].hi is POS_INF
         g0 = gamma2_closed_form(n, 0)
         for l in range(51):
-            gl = gamma_threshold(2, n, l).value
+            gl = gamma_threshold(2, n, l)
             assert gl == gamma2_closed_form(n, l)
             assert gl <= g0
     report(4, "full fourth-order regions [threshold, inf) for n = 2..20, "
@@ -97,7 +97,7 @@ def test_criterion_4_fourth_order_full_regions():
 def test_criterion_5_sixth_order_thresholds():
     started = time.perf_counter()
     for n in range(2, 21):
-        got = gamma_threshold(3, n, 0).value
+        got = gamma_threshold(3, n, 0)
         want = gamma3_closed_form(n)
         if isinstance(want, AlgebraicReal):
             assert isinstance(got, AlgebraicReal)

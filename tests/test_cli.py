@@ -79,6 +79,17 @@ class TestRegionCommand:
         assert code == 0
         assert out.splitlines()[0] == "[0, ∞)"
 
+    @pytest.mark.parametrize("m, n, lo", ((3, 6, "716800/27"), (1, 10, "-15")))
+    def test_rational_boundary_found_exactly(self, capsys, m, n, lo):
+        argv = ["region", "--m", str(m), "--n", str(n), "--l", "0"]
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0
+        assert out.splitlines() == [f"[{lo}, ∞)"]
+        _, out, _ = invoke(capsys, argv + ["--json"])
+        result = json.loads(out)["result"]
+        assert result["pieces"][0]["lo"] == {"type": "rational", "value": lo}
+        assert result["warnings"] == []
+
     def test_region_json_schema(self, capsys):
         _, out, _ = invoke(capsys, ["region", "--m", "5", "--n", "20", "--l", "0",
                                     "--json"])
@@ -202,6 +213,11 @@ class TestFigureCommand:
     ["region", "--m", "2", "--n", "5", "--l", "-1"],
     ["decide", "--m", "0", "--n", "5", "--c", "0"],
     ["decide", "--m", "2", "--n", "1", "--c", "0"],
+    ["conjecture", "--mmax", "13"],
+    ["conjecture", "--mmax", "0"],
+    ["conjecture", "--mmax", "-3"],
+    ["region", "--m", "5", "--n", "20", "--l", "0", "--digits", "0"],
+    ["region", "--m", "5", "--n", "20", "--l", "0", "--digits", "-2"],
 ))
 def test_out_of_range_arguments_exit_two(capsys, tmp_path, argv):
     if argv[0] == "figure":

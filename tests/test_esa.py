@@ -105,13 +105,13 @@ class TestRadialRegions:
 class TestGammaThreshold:
     def test_fourth_order_table(self):
         for n, want in golden.GAMMA2_TABLE.items():
-            assert gamma_threshold(2, n, 0).value == want
+            assert gamma_threshold(2, n, 0) == want
 
     def test_sixth_order_dimension_two(self):
-        assert gamma_threshold(3, 2, 0).value == 36864
+        assert gamma_threshold(3, 2, 0) == 36864
 
     def test_island_five_significant_figures(self):
-        thr = gamma_threshold(5, 20, 0).value
+        thr = gamma_threshold(5, 20, 0)
         lo, hi = thr.refine(F(10) ** 5)
         mid = (lo + hi) / 2
         assert abs(mid - golden.ISLAND_GAMMA_APPROX) <= F(5) * 10 ** 5
@@ -120,7 +120,7 @@ class TestGammaThreshold:
         for _ in range(10):
             n = rng.randint(2, 16)
             l = rng.randint(0, 8)
-            assert gamma_threshold(2, n, l).value == gamma2_closed_form(n, l)
+            assert gamma_threshold(2, n, l) == gamma2_closed_form(n, l)
 
 
 class TestFullRegions:
@@ -196,9 +196,9 @@ class TestMonotoneBinding:
         # dimension 3 for higher operator orders (a slice of the full sweep;
         # nothing is asserted beyond the indices checked here)
         for m in (4, 5, 6):
-            g0 = gamma_threshold(m, 3, 0).value
+            g0 = gamma_threshold(m, 3, 0)
             for l in range(1, 11):
-                assert value_cmp(gamma_threshold(m, 3, l).value, g0) <= 0
+                assert value_cmp(gamma_threshold(m, 3, l), g0) <= 0
 
 
 class TestPowerZeroCoupling:

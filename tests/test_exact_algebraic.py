@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from esacert.exact import (AlgebraicReal, RationalPolynomial, algebraic_refine,
-                           exact_real_roots, sqrt_bounds, value_compare)
+from esacert.exact import (AlgebraicReal, RationalPolynomial, exact_real_roots,
+                           sqrt_bounds, value_compare)
 
 Z = RationalPolynomial.variable()
 SQRT2 = lambda: AlgebraicReal(Z * Z - 2, F(1), F(2))
@@ -15,7 +15,7 @@ SQRT2 = lambda: AlgebraicReal(Z * Z - 2, F(1), F(2))
 
 def test_refine_reaches_width_and_contains_sqrt2():
     x = SQRT2()
-    lo, hi = algebraic_refine(x, F(1, 1000))
+    lo, hi = x.refine(F(1, 1000))
     assert hi - lo <= F(1, 1000)
     assert lo < F(141421357, 10 ** 8)
     assert hi > F(141421356, 10 ** 8)
@@ -39,7 +39,7 @@ def test_rational_detection_and_comparison():
 
 def test_equality_through_gcd():
     a = SQRT2()
-    b = AlgebraicReal.from_sqrt(2)
+    b = AlgebraicReal.from_quadratic_surd(0, 1, 2)
     assert a.equals(b)
     assert a == b
     # same defining polynomial, other root

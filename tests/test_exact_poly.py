@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esacert.exact import (RationalPolynomial, cauchy_index, cauchy_root_bound,
                            char_poly, count_real_roots, det_fractions,
                            discriminant, isolate_real_roots,
-                           poly_gcd, poly_shift, rational_roots,
+                           poly_gcd, rational_roots,
                            refine_isolating_interval, resultant,
                            simplest_between, square_free_decomposition,
                            square_free_part, sturm_isolate)
@@ -52,7 +55,7 @@ class TestArithmetic:
 class TestShift:
     def test_identity_shift(self):
         p = Z ** 2
-        assert poly_shift(p, 0) == p
+        assert p.shift(0) == p
 
     def test_roots_translate(self, rng):
         # roots(p(z + a)) = roots(p) - a, on products of rational-root factors
@@ -60,7 +63,7 @@ class TestShift:
             roots = [rand_fraction(rng, -6, 6, 5) for _ in range(rng.randint(1, 5))]
             p = RationalPolynomial.from_roots(roots)
             a = rand_fraction(rng, -4, 4, 5)
-            q = poly_shift(p, a)
+            q = p.shift(a)
             for r in roots:
                 assert q(r - a) == 0
 
@@ -75,14 +78,6 @@ class TestShift:
             want = (F(1), F(-8), F(43, 2) + 2 * c1, F(-22) - 8 * c1,
                     F(105, 16) + F(19, 2) * c1 + c2)
             assert got == want
-
-    def test_compose_affine_consistent_with_shift(self, rng):
-        for _ in range(10):
-            p = rand_poly(rng, 5)
-            a = rand_fraction(rng)
-            assert p.compose_affine(a, F(1)) == p.shift(a)
-            x = rand_fraction(rng)
-            assert p.compose_affine(F(2), F(-3))(x) == p(2 - 3 * x)
 
     def test_even_odd_split(self, rng):
         for _ in range(10):
@@ -233,6 +228,16 @@ class TestResultant:
             assert discriminant(q) == explicit(a, b, c, d, e)
 
 
+class TestDeterminant:
+    def test_det_fractions_3x3_rule_of_sarrus(self, rng):
+        for _ in range(10):
+            a = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
+            sarrus = (a[0][0] * a[1][1] * a[2][2] + a[0][1] * a[1][2] * a[2][0]
+                      + a[0][2] * a[1][0] * a[2][1] - a[0][2] * a[1][1] * a[2][0]
+                      - a[0][0] * a[1][2] * a[2][1] - a[0][1] * a[1][0] * a[2][2])
+            assert det_fractions(a) == sarrus
+
+
 class TestCharPoly:
     def test_empty_matrix(self):
         assert char_poly([]) == RationalPolynomial.one()
@@ -280,3 +285,19 @@ class TestRationalRecognition:
 
     def test_irrational_roots_simply_omitted(self):
         assert rational_roots(Z * Z - 2) == []
+
+    def test_root_off_the_probe_points(self):
+        # -15 sits 1/17 of the way along the Cauchy interval [-17, 17], so
+        # no bisection point of that interval is -15
+        assert rational_roots(Z + 15) == [F(-15)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sets(st.builds(F, st.integers(-10 ** 12, 10 ** 12),
+                             st.integers(1, 10 ** 9)), min_size=1, max_size=4),
+           st.integers(-50, 50), st.integers(-10 ** 6, 10 ** 6))
+    def test_complete_on_products_with_large_denominators(self, roots, a, b):
+        # the quadratic (z - a)^2 - b has no rational root for non-square b
+        if b >= 0 and math.isqrt(b) ** 2 == b:
+            b = -b - 1
+        p = RationalPolynomial.from_roots(roots) * ((Z - a) ** 2 - b)
+        assert rational_roots(p) == sorted(roots)

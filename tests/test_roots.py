@@ -162,10 +162,6 @@ class TestPairing:
             hp = halfplane_count(build_indicial(IndicialSpec(m, n, l, c)))
             assert hp.left + hp.axis <= m
 
-    def test_pairing_map(self):
-        rs = certified_roots(build_indicial(IndicialSpec(2, 5, 0, F(3))))
-        assert rs.pairing() == {1: 4, 2: 3, 3: 2, 4: 1}
-
 
 class TestTrajectories:
     def test_zero_coupling_point_symmetric(self):

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from esacert import golden, stability
 from esacert.esa import _hurwitz_cached
-from esacert.exact import (PolynomialMatrix, RationalPolynomial,
-                           count_real_roots, det_cofactor, det_fractions,
-                           poly_gcd, polymatrix_det, primitive_part,
-                           sturm_isolate)
+from esacert.exact import (RationalPolynomial, count_real_roots, det_fractions,
+                           poly_gcd, primitive_part, sturm_isolate)
 from esacert.indicial import (IndicialSpec, build_indicial, euler_quartic,
                               indicial_base)
 from esacert.roots import Unresolved, certified_roots, real_part_position
@@ -51,15 +49,6 @@ class TestHurwitzMatrix:
 
     def test_zero_parameters_determinant(self):
         assert det_fractions(euler_hurwitz_matrix(F(0), F(0))) == 18900
-
-    def test_symbolic_second_parameter(self, rng):
-        from esacert.exact import polymatrix_det
-        for _ in range(6):
-            c1 = rand_fraction(rng)
-            det = polymatrix_det(euler_hurwitz_matrix(c1))
-            for _ in range(4):
-                c2 = rand_fraction(rng)
-                assert det(c2) == det_formula(c1, c2)
 
     def test_generic_layout_convention(self):
         # entry (i, j) = a_{2j-i} with descending coefficients a_0..a_n
@@ -107,13 +96,12 @@ class TestHurwitzAssemble:
         assert hd.det_in_c(F(-105, 16)) == 0
 
 
-def _hurwitz_polymatrix(m: int, nu: int) -> PolynomialMatrix:
-    """The 2m x 2m Hurwitz matrix of the centered indicial polynomial over
-    Q[c] (c in the constant coefficient)."""
+def _numeric_hurwitz_det(m: int, nu: int, c: F) -> F:
+    """Bareiss determinant of the numeric 2m x 2m Hurwitz matrix of the
+    centered indicial polynomial with c added to its constant term."""
     desc = list(indicial_base(m, nu).shift(CRITICAL_RE).descending())
-    entries = [RationalPolynomial.constant(a) for a in desc]
-    entries[-1] = RationalPolynomial((desc[-1], 1))
-    return PolynomialMatrix(hurwitz_matrix(entries))
+    desc[-1] += c
+    return det_fractions(hurwitz_matrix(desc))
 
 
 @st.composite
@@ -129,14 +117,16 @@ class TestOrlandoCofactor:
     Hurwitz matrix over Q[c]."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(sectors())
-    def test_matches_polynomial_matrix_determinant(self, sector):
+    @given(sectors(), st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=50),
+                               min_size=7, max_size=7, unique=True))
+    def test_matches_polynomial_matrix_determinant(self, sector, points):
+        # c enters m entries of the 2m x 2m matrix, in distinct rows and
+        # columns, so det(H(c)) has degree <= m and m + 1 points fix it
         m, n, l = sector
         hd = hurwitz_assemble(m, n, l)
-        matrix = _hurwitz_polymatrix(m, n + 2 * l)
-        assert hd.det_in_c == polymatrix_det(matrix)
-        if m <= 3:
-            assert hd.det_in_c == det_cofactor(matrix)
+        assert hd.det_in_c.degree <= m
+        for c in points[:m + 1]:
+            assert hd.det_in_c(c) == _numeric_hurwitz_det(m, n + 2 * l, c)
 
     def test_wrong_sign_trips_the_probe(self, monkeypatch):
         flipped = stability._orlando_sign
