@@ -208,9 +208,6 @@ def _grid(lo: Fraction, hi: Fraction, steps: int) -> list:
 
 
 def cmd_figure(args, cfg: EngineConfig, echo) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
     if args.which == "fig1":
         if args.c1 is None:
             print("figure fig1 requires --c1", file=sys.stderr)
@@ -218,6 +215,14 @@ def cmd_figure(args, cfg: EngineConfig, echo) -> int:
         if args.sweep_min >= args.sweep_max:
             print("figure fig1 requires --sweep-min < --sweep-max", file=sys.stderr)
             return EXIT_USAGE
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        print(f"figure: --out {out} is not a directory", file=sys.stderr)
+        return EXIT_USAGE
+    written = []
+    if args.which == "fig1":
         grid = _grid(args.sweep_min, args.sweep_max, args.steps)
         with _task_map(args.jobs) as task_map:
             rows = trajectory_table(functools.partial(euler_quartic, args.c1),
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-l", action="store_true", dest="all_l")
     p.add_argument("--lmax", type=nonnegative, default=None)
     p.add_argument("--digits", type=positive, default=6)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive, default=1)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("table", help="regenerate a reference table and diff it")
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-min", type=rational_arg, default=Fraction(-40))
     p.add_argument("--sweep-max", type=rational_arg, default=Fraction(80))
     p.add_argument("--steps", type=at_least_two, default=61)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive, default=1)
 
     p = sub.add_parser("basis", help="resonance classification and basis descriptors")
     p.add_argument("--c1", type=rational_arg, required=True)

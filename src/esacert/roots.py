@@ -2,13 +2,13 @@
 
 Strategy: exact square-free decomposition first, then per square-free factor
 
-1. rational roots are split off exactly (continued-fraction probing of
+1. rational roots are split off exactly (by the rational root theorem on
    Sturm isolating intervals) and reported with radius zero;
 2. the remaining factor is handed to an Aberth-Ehrlich simultaneous
    iteration in mpmath at the working precision, with deterministic initial
    points on a Cauchy-bound circle;
 3. every candidate center is certified by the exact bound
-   |x - nearest root| <= deg * |f(x)| / |f'(x)|, evaluated in exact rational
+   |x - nearest root| <= deg * |f(x)| / |f'(x)|, evaluated in integer
    arithmetic at the dyadic center (mpmath supplies candidates only, never
    the certificate);
 4. precision doubles from START_BITS up to MAX_BITS until all disks are
@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .exact import (RationalPolynomial, as_fraction, rational_roots,
-                    square_free_decomposition)
+from .exact import (RationalPolynomial, as_fraction, primitive_part,
+                    rational_roots, square_free_decomposition)
 
 START_BITS = 128   # first working precision of every numeric root computation
 MAX_BITS = 4096    # certified_roots gives up beyond this precision
@@ -205,18 +205,30 @@ def _aberth(coeffs: Sequence[Fraction], prec_bits: int) -> list:
 
 
 def _certify(f: RationalPolynomial, centers: list):
-    """Exact disk radii deg*|f(x)/f'(x)| at dyadic centers; None if any f' vanishes."""
+    """Exact disk radii deg*|f(x)/f'(x)| at rational centers; None if any f' vanishes.
+
+    Let F be the integer polynomial that is a rational multiple of f, of
+    degree d, and x = (a + ib)/s.  Homogenised Horner in integers gives
+    H = s^d*F(x) and H' = s^(d-1)*F'(x), so |f/f'|^2 = |H|^2/(s^2*|H'|^2),
+    reduced as one Fraction at the end.
+    """
     d = f.degree
-    df = f.derivative()
+    lead, *rest = reversed([c.numerator for c in primitive_part(f).coeffs])
     radii = []
     for re, im in centers:
-        fr, fi = f.eval_complex_exact(re, im)
-        gr, gi = df.eval_complex_exact(re, im)
-        den = gr * gr + gi * gi
+        s = math.lcm(re.denominator, im.denominator)
+        a = re.numerator * (s // re.denominator)
+        b = im.numerator * (s // im.denominator)
+        hr, hi, dr, di = lead, 0, 0, 0
+        spow = 1
+        for c in rest:
+            spow *= s
+            dr, di = dr * a - di * b + hr, dr * b + di * a + hi
+            hr, hi = hr * a - hi * b + c * spow, hr * b + hi * a
+        den = dr * dr + di * di
         if den == 0:
             return None
-        num = fr * fr + fi * fi
-        radii.append(d * _sqrt_upper_pow2(num / den))
+        radii.append(d * _sqrt_upper_pow2(Fraction(hr * hr + hi * hi, s * s * den)))
     return radii
 
 
@@ -342,11 +354,64 @@ def trajectory_table(poly_family: Callable[[Fraction], RationalPolynomial],
     return label_trajectories(grid, list(map(roots_of, polys)))
 
 
+def _min_cost_assignment(cost: Sequence[Sequence[float]]) -> list:
+    """col_of_row of a minimum-cost perfect matching for a square cost matrix.
+
+    The shortest augmenting path method (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), kept step for step
+    as in its reference C++ implementation (``rectangular_lsap``), with the
+    same floating-point operations and tie-breaking: conjugate and mirrored
+    roots give exactly tied costs, and the labels must not change with the
+    solver.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # reversed, so that a constant matrix is matched to the identity
+        remaining = list(range(n - 1, -1, -1))
+        spc = [math.inf] * n
+        rows_seen, cols_seen = [], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                # on a tie prefer a free column: it ends the path
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                rows_seen.append(i)
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def label_trajectories(grid: Sequence, root_sets: Sequence) -> list:
     """Sequential nearest-neighbor labeling pass over root sets, one per grid point."""
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
-
     rows: list = []
     prev_pos = None  # label -> (x, y, radius) floats
     for c, rs in zip(grid, root_sets):
@@ -355,13 +420,14 @@ def label_trajectories(grid: Sequence, root_sets: Sequence) -> list:
             labels = list(range(1, len(pts) + 1))
             flags = [False] * len(pts)
         else:
-            cost = np.array([[math.hypot(px - qx, py - qy)
-                              for (qx, qy, _, _) in pts]
-                             for (px, py, _) in prev_pos])
-            ridx, cidx = linear_sum_assignment(cost)
+            if len(pts) != len(prev_pos):
+                raise ValueError(f"root count changes from {len(prev_pos)} "
+                                 f"to {len(pts)} at c = {c}")
+            cost = [[math.hypot(px - qx, py - qy) for (qx, qy, _, _) in pts]
+                    for (px, py, _) in prev_pos]
             labels = [0] * len(pts)
             flags = [False] * len(pts)
-            for i, j in zip(ridx, cidx):
+            for i, j in enumerate(_min_cost_assignment(cost)):
                 labels[j] = i + 1
                 d_best = cost[i][j]
                 others = [cost[k][j] for k in range(len(prev_pos)) if k != i]

@@ -147,8 +147,9 @@ class TestExactVerdictPaths:
 class TestFigureCommand:
     def test_fig1_requires_c1(self, capsys, tmp_path):
         code, _, _ = invoke(capsys, ["figure", "--which", "fig1",
-                                     "--out", str(tmp_path)])
+                                     "--out", str(tmp_path / "new")])
         assert code == 2
+        assert not (tmp_path / "new").exists()
 
     def test_fig1_trajectories(self, capsys, tmp_path):
         code, _, _ = invoke(capsys, ["figure", "--which", "fig1", "--c1", "-3",
@@ -218,9 +219,18 @@ class TestFigureCommand:
     ["conjecture", "--mmax", "-3"],
     ["region", "--m", "5", "--n", "20", "--l", "0", "--digits", "0"],
     ["region", "--m", "5", "--n", "20", "--l", "0", "--digits", "-2"],
+    ["region", "--m", "2", "--n", "5", "--all-l", "--lmax", "1", "--jobs", "0"],
+    ["region", "--m", "2", "--n", "5", "--all-l", "--lmax", "1", "--jobs", "-3"],
+    ["figure", "--which", "fig3", "--steps", "2", "--jobs", "0"],
+    ["figure", "--which", "fig3", "--steps", "2", "--jobs", "-3"],
+    ["figure", "--which", "fig2", "--out", "{existing_file}"],
+    ["figure", "--which", "fig2", "--out", "{existing_file}/sub"],
 ))
 def test_out_of_range_arguments_exit_two(capsys, tmp_path, argv):
-    if argv[0] == "figure":
+    existing = tmp_path / "existing.txt"
+    existing.write_text("")
+    argv = [a.replace("{existing_file}", str(existing)) for a in argv]
+    if argv[0] == "figure" and "--out" not in argv:
         argv = argv + ["--out", str(tmp_path)]
     try:
         code = run(argv)
@@ -343,3 +353,24 @@ def test_console_script_end_to_end():
     payload = json.loads(proc.stdout)
     assert payload["result"]["verdict"] == "ESA"
     assert "elapsed" in proc.stderr
+
+
+def test_figures_import_neither_numpy_nor_scipy(tmp_path):
+    # trajectory labels come from a pure-Python assignment, so a fresh
+    # interpreter running both trajectory figures loads neither module
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "from esacert.cli import run\n"
+        "out = sys.argv[1]\n"
+        "assert run(['figure', '--which', 'fig1', '--c1', '-3', '--steps', '3',"
+        " '--out', out]) == 0\n"
+        "assert run(['figure', '--which', 'fig3', '--steps', '2', '--out', out]) == 0\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("*.csv"))) == 6

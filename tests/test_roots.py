@@ -1,11 +1,16 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esacert.exact import RationalPolynomial, sturm_isolate
 from esacert.indicial import IndicialSpec, build_indicial
 from esacert.roots import (CertifiedRoot, RealPartPosition, Unresolved,
+                           _certify, _min_cost_assignment, _sqrt_upper_pow2,
                            certified_roots, label_trajectories,
                            real_part_position, root_trajectories,
                            trajectory_table)
@@ -190,3 +195,108 @@ class TestTrajectories:
         for c in grid:
             labels = sorted(pt.label for pt in rows if pt.c == c)
             assert labels == [1, 2, 3, 4]
+
+    def test_root_count_must_not_change(self):
+        # c*z^2 + z + 1 loses a root at c = 0
+        with pytest.raises(ValueError, match="root count"):
+            trajectory_table(lambda c: RationalPolynomial((1, 1, c)), [F(0), F(1)])
+
+
+@st.composite
+def cost_matrices(draw, max_n=10):
+    """Square cost matrices: floats over many scales, small integers (many
+    ties), and distances between two conjugate- and mirror-symmetric point
+    clouds like consecutive root sets of a real quartic family."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(("float", "small_int", "cloud")))
+    if kind == "float":
+        scale = 10.0 ** draw(st.integers(-6, 6))
+        return [[draw(st.floats(0, 1)) * scale for _ in range(n)] for _ in range(n)]
+    if kind == "small_int":
+        return [[float(draw(st.integers(0, 3))) for _ in range(n)] for _ in range(n)]
+
+    def cloud():
+        pts = []
+        while len(pts) < n:
+            x, y = draw(st.integers(-4, 4)) / 2, draw(st.integers(0, 3)) / 2
+            for p in ((x, y), (x, -y), (3 - x, y), (3 - x, -y)):
+                if p not in pts:
+                    pts.append(p)
+        return pts[:n]
+
+    prev, cur = cloud(), cloud()
+    return [[math.hypot(px - qx, py - qy) for qx, qy in cur] for px, py in prev]
+
+
+class TestMinCostAssignment:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(cost_matrices())
+    def test_matches_scipy_including_ties(self, cost):
+        np = pytest.importorskip("numpy")
+        lsap = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        assert _min_cost_assignment(cost) == lsap(np.array(cost))[1].tolist()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cost_matrices(max_n=6))
+    def test_optimal_cost_by_brute_force(self, cost):
+        n = len(cost)
+        col = _min_cost_assignment(cost)
+        assert sorted(col) == list(range(n))
+
+        def total(perm):
+            return sum(F(cost[i][perm[i]]) for i in range(n))
+
+        best = min(total(perm) for perm in itertools.permutations(range(n)))
+        assert float(total(col)) == pytest.approx(float(best), rel=1e-12)
+
+    def test_constant_matrix_gives_identity(self):
+        assert _min_cost_assignment([[1.0] * 4 for _ in range(4)]) == [0, 1, 2, 3]
+
+    def test_infeasible_matrix_raises(self):
+        with pytest.raises(ValueError, match="infeasible"):
+            _min_cost_assignment([[0.0, math.inf], [1.0, math.inf]])
+
+
+def _certify_by_fractions(f, centers):
+    """The disk radii by Fraction evaluation of f and f' (reference)."""
+    df = f.derivative()
+    radii = []
+    for re, im in centers:
+        fr, fi = f.eval_complex_exact(re, im)
+        gr, gi = df.eval_complex_exact(re, im)
+        den = gr * gr + gi * gi
+        if den == 0:
+            return None
+        radii.append(f.degree * _sqrt_upper_pow2((fr * fr + fi * fi) / den))
+    return radii
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+_dyadics = st.builds(lambda a, k: F(a, 2 ** k),
+                     st.integers(-10 ** 12, 10 ** 12), st.integers(0, 60))
+_centers = st.tuples(_dyadics, st.one_of(st.just(F(0)), _dyadics))
+
+
+class TestIntegerCertificate:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_rationals, min_size=2, max_size=9).filter(lambda cs: cs[-1] != 0),
+           st.lists(_centers, min_size=1, max_size=4))
+    def test_matches_fraction_formula(self, coeffs, centers):
+        f = RationalPolynomial(coeffs)
+        assert _certify(f, centers) == _certify_by_fractions(f, centers)
+
+    @pytest.mark.parametrize("f, centers", (
+        (Z ** 3 - 3 * Z, [(F(3, 8), F(0)), (F(1), F(0))]),
+        (Z ** 3 + 3 * Z, [(F(0), F(1))]),
+        ((Z - F(5, 4)) ** 2 + F(1, 3), [(F(5, 4), F(0))]),
+    ))
+    def test_vanishing_derivative_gives_none(self, f, centers):
+        assert _certify_by_fractions(f, centers) is None
+        assert _certify(f, centers) is None
+
+    def test_integer_centers_and_exact_roots(self):
+        f = (Z - 2) * (Z * Z + 1)
+        centers = [(F(2), F(0)), (F(0), F(1)), (F(3), F(-7, 4))]
+        radii = _certify(f, centers)
+        assert radii[:2] == [0, 0]
+        assert radii == _certify_by_fractions(f, centers)
