@@ -18,7 +18,6 @@ import json
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +67,8 @@ def _task_map(jobs: int):
     if jobs <= 1:
         yield map
         return
+    # imported here, so that sequential runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield pool.map
 

@@ -86,16 +86,26 @@ def euler_params(n: int, l: int, c) -> EulerParams:
     return EulerParams(c1=c1, c2=c1 * c1 + as_fraction(c))
 
 
-def indicial_base(m: int, nu: int) -> RationalPolynomial:
-    """The coupling-free part of the indicial polynomial, for nu = n + 2l."""
-    z = RationalPolynomial.variable()
-    prod = RationalPolynomial.one()
+def indicial_base(m: int, nu: int, shift=0) -> RationalPolynomial:
+    """The coupling-free part of the indicial polynomial, for nu = n + 2l,
+    as a polynomial in w with z = w + shift for a half-integer shift.
+
+    Its roots are the half-integers k/2 for k = nu + 4j - 5 and
+    k = -(nu - 4j + 1), j = 1..m, so it equals
+    (-1)^m 4^-m prod_k (2w + 2 shift - k), a product taken in integers.
+    """
+    twice = 2 * as_fraction(shift)
+    if twice.denominator != 1:
+        raise ValueError("shift must be a half-integer")
+    coeffs = [1]
     for j in range(1, m + 1):
-        prod = prod * (z - Fraction(nu + 4 * j - 5, 2))
-        prod = prod * (z + Fraction(nu - 4 * j + 1, 2))
-    if m % 2:
-        prod = -prod
-    return prod
+        for k in (nu + 4 * j - 5, -(nu - 4 * j + 1)):
+            c0 = twice.numerator - k   # multiply by 2w + c0
+            coeffs = ([c0 * coeffs[0]]
+                      + [c0 * hi + 2 * lo for lo, hi in zip(coeffs, coeffs[1:])]
+                      + [2 * coeffs[-1]])
+    scale = Fraction((-1) ** m, 4 ** m)
+    return RationalPolynomial([scale * c for c in coeffs])
 
 
 def build_indicial(spec: IndicialSpec) -> RationalPolynomial:

@@ -4,12 +4,17 @@ Strategy: exact square-free decomposition first, then per square-free factor
 
 1. rational roots are split off exactly (by the rational root theorem on
    Sturm isolating intervals) and reported with radius zero;
-2. the remaining factor is handed to an Aberth-Ehrlich simultaneous
-   iteration in mpmath at the working precision, with deterministic initial
-   points on a Cauchy-bound circle;
-3. every candidate center is certified by the exact bound
+2. the remaining factor f of degree d is handed to an Aberth-Ehrlich
+   simultaneous iteration in mpmath at the working precision, with
+   deterministic initial points from the Newton polygon.  When f is even
+   about its centroid a = -f[d-1]/(d f[d]), that is f(a + w) = g(w^2) as
+   for every indicial polynomial (roots pair to 2m - 1) and every Euler
+   quartic (pairs sum to 3), the iteration runs on g of degree d/2 and
+   each root y of g gives the two centers a +- sqrt(y), the square root
+   taken in mpmath and the sum with a exactly;
+3. every candidate center is certified on f itself by the exact bound
    |x - nearest root| <= deg * |f(x)| / |f'(x)|, evaluated in integer
-   arithmetic at the dyadic center (mpmath supplies candidates only, never
+   arithmetic at the rational center (mpmath supplies candidates only, never
    the certificate);
 4. precision doubles from START_BITS up to MAX_BITS until all disks are
    pairwise disjoint, in which case each disk provably contains exactly one
@@ -149,9 +154,13 @@ def _initial_radii(coeffs: Sequence[Fraction]) -> list:
     return radii
 
 
-def _aberth(coeffs: Sequence[Fraction], prec_bits: int) -> list:
-    """Aberth-Ehrlich candidates for a square-free polynomial (ascending coeffs)."""
+def _aberth(coeffs: Sequence[Fraction], prec_bits: int,
+            steps: int | None = None) -> list:
+    """Aberth-Ehrlich candidates for a square-free polynomial (ascending coeffs),
+    after at most `steps` sweeps (by default 40 + 10 * degree)."""
     d = len(coeffs) - 1
+    if steps is None:
+        steps = 40 + 10 * d
     with mp.workprec(prec_bits):
         cs = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in coeffs]
         dcs = [k * c for k, c in enumerate(cs)][1:]
@@ -169,7 +178,7 @@ def _aberth(coeffs: Sequence[Fraction], prec_bits: int) -> list:
         # centers only need to be good enough for the exact certificates to
         # separate; three quarters of the working precision leaves ample slack
         tol = mp.mpf(2) ** (-(3 * prec_bits) // 4)
-        for _ in range(40 + 10 * d):
+        for _ in range(steps):
             max_step = mp.mpf(0)
             for i in range(d):
                 pv = horner(z[i], cs)
@@ -202,6 +211,30 @@ def _aberth(coeffs: Sequence[Fraction], prec_bits: int) -> list:
             if max_step < tol:
                 break
         return [(_mpf_to_fraction(w.real), _mpf_to_fraction(w.imag)) for w in z]
+
+
+def _centers(f: RationalPolynomial, prec_bits: int) -> list:
+    """Candidate centers for the roots of a monic square-free f.
+
+    If f(a + w) = g(w^2) about the centroid a, Aberth runs on g at half the
+    degree and each root y of g gives a +- sqrt(y); the pairs are exactly
+    symmetric about a.  Any other f takes the full-degree iteration.
+    """
+    a = -f.coeffs[-2] / f.degree
+    shifted = f.shift(a)
+    if any(shifted.coeffs[1::2]):
+        return _aberth(f.coeffs, prec_bits)
+    out = []
+    with mp.workprec(prec_bits):
+        # the step budget of the full degree: the iterates close in on a
+        # cluster of roots of g no faster than on the matching roots of f
+        for yr, yi in _aberth(shifted.coeffs[0::2], prec_bits,
+                              steps=40 + 10 * f.degree):
+            s = mp.sqrt(mp.mpc(mp.mpf(yr.numerator) / yr.denominator,
+                               mp.mpf(yi.numerator) / yi.denominator))
+            sr, si = _mpf_to_fraction(s.real), _mpf_to_fraction(s.imag)
+            out += [(a + sr, si), (a - sr, -si)]
+    return out
 
 
 def _certify(f: RationalPolynomial, centers: list):
@@ -253,7 +286,12 @@ def certified_roots(p: RationalPolynomial,
     The working precision starts at `precision_bits` and doubles until the
     disks are pairwise disjoint.  Raises PrecisionExceededError if that is
     not reached by MAX_BITS (never returns silently inexact output).
-    Rational roots are split off exactly and carry radius zero.
+    Rational roots are split off exactly and carry radius zero.  A factor
+    even about its centroid gets its centers from the half-degree
+    iteration (see `_centers`), one without that symmetry from the
+    full-degree one; either way the disks are certified on the factor
+    itself.  A cluster (in the half-degree case, two roots of g close
+    together) only raises the precision.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
@@ -272,7 +310,7 @@ def certified_roots(p: RationalPolynomial,
                                multiplicity=m) for r, m in exact_roots]
         ok = True
         for f, mult in numeric_jobs:
-            centers = _aberth(f.coeffs, prec)
+            centers = _centers(f, prec)
             radii = _certify(f, centers)
             if radii is None:
                 ok = False
@@ -331,8 +369,7 @@ class TrajectoryPoint:
 
 
 def trajectory_table(poly_family: Callable[[Fraction], RationalPolynomial],
-                     grid: Sequence, precision_bits: int = START_BITS,
-                     map=map) -> list:
+                     grid: Sequence, map=map) -> list:
     """Root trajectories of a one-parameter polynomial family over a grid.
 
     Labels are assigned by sorted order at the first grid point and carried
@@ -350,8 +387,7 @@ def trajectory_table(poly_family: Callable[[Fraction], RationalPolynomial],
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     polys = [poly_family(c) for c in grid]
-    roots_of = functools.partial(certified_roots, precision_bits=precision_bits)
-    return label_trajectories(grid, list(map(roots_of, polys)))
+    return label_trajectories(grid, list(map(certified_roots, polys)))
 
 
 def _min_cost_assignment(cost: Sequence[Sequence[float]]) -> list:

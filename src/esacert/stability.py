@@ -119,7 +119,7 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
     raises AssertionError.
     """
     nu = n + 2 * l
-    shifted = indicial_base(m, nu).shift(CRITICAL_RE)
+    shifted = indicial_base(m, nu, CRITICAL_RE)
     even, odd = shifted.even_odd_split()
     q_factor = (char_poly(_multiplication_matrix(-even, odd))
                 * (_orlando_sign(m) * odd.leading ** m))

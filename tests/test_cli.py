@@ -374,3 +374,23 @@ def test_figures_import_neither_numpy_nor_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert len(list(tmp_path.glob("*.csv"))) == 6
+
+
+def test_decide_loads_no_process_pool():
+    # the pool behind --jobs is imported only when it is used, so a
+    # sequential decide loads neither concurrent.futures.process nor
+    # multiprocessing (test_pool_matches_sequential covers the pool)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "import esacert.cli\n"
+        "assert esacert.cli.run(['decide', '--m', '2', '--n', '8', '--l', '0',"
+        " '--c', '0']) == 0\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

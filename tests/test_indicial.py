@@ -4,10 +4,12 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esacert.exact import RationalPolynomial
 from esacert.indicial import (EulerParams, IndicialSpec, build_indicial,
-                              euler_params, euler_quartic,
+                              euler_params, euler_quartic, indicial_base,
                               quartic_roots_closed_form)
 from esacert.roots import certified_roots
 from conftest import rand_fraction
@@ -64,6 +66,25 @@ class TestBuildIndicial:
             res = sorted(r.re for r in rs.expanded())
             for a, b in zip(res, reversed(res)):
                 assert a + b == 2 * m - 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(2, 150),
+           st.one_of(st.none(), st.integers(-40, 40).map(lambda k: F(k, 2))))
+    def test_integer_base_matches_fraction_product(self, m, nu, shift):
+        # the product over the exponents (nu + 4j - 5)/2 and -(nu - 4j + 1)/2
+        # in Fractions, as written in the module docstring
+        z = RationalPolynomial.variable() + (shift or 0)
+        want = RationalPolynomial.one()
+        for j in range(1, m + 1):
+            want = want * (z - F(nu + 4 * j - 5, 2)) * (z + F(nu - 4 * j + 1, 2))
+        if m % 2:
+            want = -want
+        got = indicial_base(m, nu) if shift is None else indicial_base(m, nu, shift)
+        assert got == want
+
+    def test_shift_must_be_half_integer(self):
+        with pytest.raises(ValueError, match="half-integer"):
+            indicial_base(2, 5, F(1, 3))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esacert.exact import RationalPolynomial, sturm_isolate
-from esacert.indicial import IndicialSpec, build_indicial
-from esacert.roots import (CertifiedRoot, RealPartPosition, Unresolved,
-                           _certify, _min_cost_assignment, _sqrt_upper_pow2,
+from esacert import roots
+from esacert.exact import (RationalPolynomial, exact_real_roots, rational_roots,
+                           square_free_decomposition, sturm_isolate)
+from esacert.indicial import IndicialSpec, build_indicial, euler_quartic
+from esacert.roots import (MAX_BITS, START_BITS, CertifiedRoot,
+                           RealPartPosition, Unresolved, _aberth, _certify,
+                           _min_cost_assignment, _pairwise_disjoint,
+                           _sqrt_upper_pow2,
                            certified_roots, label_trajectories,
                            real_part_position, root_trajectories,
                            trajectory_table)
+from esacert.stability import hurwitz_assemble
 from conftest import rand_fraction, rand_poly
 
 Z = RationalPolynomial.variable()
@@ -166,6 +171,142 @@ class TestPairing:
             from esacert.stability import halfplane_count
             hp = halfplane_count(build_indicial(IndicialSpec(m, n, l, c)))
             assert hp.left + hp.axis <= m
+
+
+def _full_degree_disks(p, prec):
+    """Disks of the distinct roots of p: each rational root exactly, the
+    others from the full-degree iteration on each square-free factor f
+    (`_aberth` on f, then `_certify` on f), doubling the precision until
+    the disks are disjoint."""
+    while prec <= MAX_BITS:
+        disks = []
+        for f, _ in square_free_decomposition(p):
+            for r in rational_roots(f):
+                f = f.divide_exact(RationalPolynomial((-r, 1)))
+                disks.append((r, F(0), F(0)))
+            if f.degree >= 1:
+                f = f.monic()
+                centers = _aberth(f.coeffs, prec)
+                radii = _certify(f, centers)
+                if radii is None:
+                    disks = None
+                    break
+                disks += [(re, im, rad) for (re, im), rad in zip(centers, radii)]
+        if disks is not None and _pairwise_disjoint(disks):
+            return disks
+        prec *= 2
+    raise AssertionError("full-degree disks not separated at MAX_BITS")
+
+
+def _overlap(a, b) -> bool:
+    dr, di, s = a[0] - b[0], a[1] - b[1], a[2] + b[2]
+    return dr * dr + di * di <= s * s
+
+
+@st.composite
+def symmetric_specs(draw):
+    """Indicial polynomials (m <= 5) at random couplings and within
+    10^-30..10^-60 of a boundary of the decision problem (a real root of
+    the Hurwitz determinant in c), and Euler quartics."""
+    kind = draw(st.sampled_from(("random", "boundary", "quartic")))
+    if kind == "quartic":
+        c1, c2 = draw(_rationals), draw(_rationals)
+        return euler_quartic(c1, c2)
+    m, n, l = (draw(st.integers(1, 5)), draw(st.integers(2, 12)),
+               draw(st.integers(0, 4)))
+    if kind == "random":
+        c = draw(st.fractions(-10 ** 6, 10 ** 6, max_denominator=1000))
+    else:
+        bounds = exact_real_roots(hurwitz_assemble(m, n, l).det_in_c)
+        b = bounds[draw(st.integers(0, len(bounds) - 1))]
+        delta = F(draw(st.sampled_from((-1, 1))), 10 ** draw(st.integers(30, 60)))
+        if isinstance(b, F):
+            centre = b
+        else:
+            lo, hi = b.refine(abs(delta) / 1000)
+            centre = (lo + hi) / 2
+        c = centre + delta
+    return build_indicial(IndicialSpec(m, n, l, c))
+
+
+class TestHalvedPath:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(symmetric_specs())
+    def test_matches_full_degree_disks(self, p):
+        rs = certified_roots(p)
+        halved = [(r.re, r.im, r.radius) for r in rs.roots]
+        full = _full_degree_disks(p, START_BITS)
+        assert len(halved) == len(full)
+        # one to one: every disk meets exactly one disk of the other set
+        for a in halved:
+            assert sum(_overlap(a, b) for b in full) == 1
+        for b in full:
+            assert sum(_overlap(a, b) for a in halved) == 1
+
+    @staticmethod
+    def _aberth_degrees(monkeypatch):
+        degrees = []
+
+        def spy(coeffs, prec_bits, **kw):
+            degrees.append(len(coeffs) - 1)
+            return _aberth(coeffs, prec_bits, **kw)
+
+        monkeypatch.setattr(roots, "_aberth", spy)
+        return degrees
+
+    def test_non_symmetric_factor_takes_full_degree(self, monkeypatch):
+        degrees = self._aberth_degrees(monkeypatch)
+        p = Z ** 4 + Z + 1   # no rational roots, centroid 0, odd part z
+        assert certified_roots(p).degree == 4
+        assert degrees == [4]
+
+    def test_symmetric_factor_takes_half_degree(self, monkeypatch):
+        degrees = self._aberth_degrees(monkeypatch)
+        certified_roots(build_indicial(IndicialSpec(4, 7, 1, F(12345, 7))))
+        certified_roots(euler_quartic(F(-3), F(45, 2)))
+        assert degrees == [4, 2]
+
+    def test_pair_clustered_at_the_centre(self):
+        # 3/2 +- sqrt(2)*10^-40: y = 2*10^-80 comes out of the halved
+        # iteration to full relative precision and the centres are 3/2 +- sqrt(y)
+        # summed exactly, so the pair separates at the starting precision
+        p = ((Z - F(3, 2)) ** 2 - F(2, 10 ** 80)) * ((Z - F(3, 2)) ** 2 + 1)
+        rs = certified_roots(p)
+        assert rs.precision_bits == START_BITS
+        near = [r for r in rs.roots if abs(r.im) < F(1, 2)]
+        assert len(near) == 2 and near[0].re + near[1].re == 3
+        assert near[0].re + near[0].radius < F(3, 2) < near[1].re - near[1].radius
+
+    def test_clustered_pairs_escalate(self, monkeypatch):
+        # 3/2 +- sqrt(2) and 3/2 +- sqrt(2 + 10^-40), two pairs ~3.5e-41 apart:
+        # the halved iteration has a cluster at y = 2 that 128 bits cannot
+        # resolve, and gets as many steps as the full-degree one would
+        degrees = self._aberth_degrees(monkeypatch)
+        p = ((Z - F(3, 2)) ** 2 - 2) * ((Z - F(3, 2)) ** 2 - 2 - F(1, 10 ** 40))
+        rs = certified_roots(p)
+        assert rs.precision_bits > START_BITS
+        assert set(degrees) == {2}
+        assert rs.degree == 4 and _pairwise_disjoint(
+            [(r.re, r.im, r.radius) for r in rs.roots])
+        sqrt2 = F(14142135623730950488, 10 ** 19)
+        for r in rs.roots:
+            assert abs(abs(r.re - F(3, 2)) - sqrt2) < F(1, 10 ** 18)
+
+    def test_rational_pair_at_the_centre_is_split_off(self):
+        # 3/2 +- 10^-30 are rational: found exactly, never iterated
+        p = ((Z - F(3, 2)) ** 2 - F(1, 10 ** 60)) * ((Z - F(3, 2)) ** 2 + 1)
+        rs = certified_roots(p)
+        assert [r.re for r in rs.roots if r.im == 0] == [F(3, 2) - F(1, 10 ** 30),
+                                                         F(3, 2) + F(1, 10 ** 30)]
+        assert all(r.exact for r in rs.roots)
+
+    def test_odd_degree_splits_off_the_centre(self, monkeypatch):
+        degrees = self._aberth_degrees(monkeypatch)
+        p = (Z - F(3, 2)) * ((Z - F(3, 2)) ** 2 + 1)
+        rs = certified_roots(p)
+        assert degrees == [1]
+        assert [(r.re, r.im) for r in rs.roots] == [
+            (F(3, 2), -1), (F(3, 2), 0), (F(3, 2), 1)]
 
 
 class TestTrajectories:
