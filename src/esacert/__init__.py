@@ -35,11 +35,24 @@ from .esa import (EsaRegion, EsaVerdict, Verdict,
                   conjecture_explore, esa_decide_radial, esa_region_full,
                   esa_region_radial, gamma_threshold, oracle_threshold,
                   power_zero_coupling)
-from .frobenius import (BasisSelection, ResonanceClassification,
-                        classify_resonance, eval_0F3, ode_residual,
-                        resonance_geometry_table, select_fundamental_system)
 
 __version__ = "0.1.0"
+
+# frobenius (and with it mpmath) loads on first use, so that the verdict
+# commands never import it
+_FROBENIUS = frozenset({
+    "BasisSelection", "ResonanceClassification", "classify_resonance",
+    "eval_0F3", "ode_residual", "resonance_geometry_table",
+    "select_fundamental_system",
+})
+
+
+def __getattr__(name):
+    if name in _FROBENIUS:
+        from . import frobenius
+        return getattr(frobenius, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlgebraicReal", "BasisSelection", "CertifiedRoot", "EsaRegion",

@@ -26,7 +26,6 @@ from .config import EngineConfig, load_config
 from .esa import (conjecture_explore, esa_decide_radial,
                   esa_region_full, esa_region_radial, gamma_threshold,
                   render_value, value_to_json)
-from .frobenius import locus_samples, select_fundamental_system
 from .indicial import IndicialSpec, euler_quartic
 from .roots import (START_BITS, root_trajectories, trajectory_csv_rows,
                     trajectory_table)
@@ -241,6 +240,7 @@ def cmd_figure(args, cfg: EngineConfig, echo) -> int:
                                     highlight_label=5 if l == 0 else None)
                 written.append(path)
     elif args.which == "fig2":
+        from .frobenius import locus_samples
         rows = locus_samples()
         path = out / "fig2_loci.csv"
         _write_csv(path, [["locus_id", "k", "c1", "c2", "esa_flag"]]
@@ -267,6 +267,7 @@ def cmd_figure(args, cfg: EngineConfig, echo) -> int:
 
 
 def cmd_basis(args, cfg: EngineConfig, echo) -> int:
+    from .frobenius import select_fundamental_system
     lam = args.lam if args.lam is not None else Fraction(1)
     sel = select_fundamental_system(args.c1, args.c2)
     if args.json:

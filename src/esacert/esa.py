@@ -31,8 +31,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import mpmath as mp
-
 from .exact import (AlgebraicReal, as_fraction, exact_real_roots,
                     simplest_between, value_compare)
 from .indicial import IndicialSpec, build_indicial
@@ -451,6 +449,8 @@ def conjecture_explore(m_max: int = 12, m_cap: int = 12) -> list:
     (2 m^2 / pi)^(2m), and the ratio log(gamma) / log((2 m^2 / pi)^(2m)).
     Exploratory output only; nothing is asserted beyond the table itself.
     """
+    import mpmath as mp
+
     if m_max > m_cap:
         raise ValueError(f"m_max exceeds the configured cap {m_cap} "
                          "(degree-2m determinants grow quickly)")

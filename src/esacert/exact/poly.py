@@ -710,7 +710,7 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return fl + 1 / simplest_between(1 / (hi - fl), 1 / frac_lo)
 
 
-def rational_roots(p: RationalPolynomial) -> list:
+def rational_roots(p: RationalPolynomial, intervals=None) -> list:
     """All rational roots of a square-free polynomial, found exactly.
 
     A root u/v in lowest terms of the primitive integer polynomial with
@@ -718,13 +718,16 @@ def rational_roots(p: RationalPolynomial) -> list:
     multiple of 1/|lc|.  Each isolating interval is first probed with the
     simplest rational it contains, then bisected to width <= 1/|lc|; its
     endpoints are not roots, so the open interval then holds at most one
-    multiple of 1/|lc|, which is tested exactly.
+    multiple of 1/|lc|, which is tested exactly.  `intervals`, if given,
+    are p's isolating intervals from `isolate_real_roots`.
     """
     if p.degree < 1:
         return []
     lc = abs(_primitive_int(_int_coeffs(p))[-1])
     out = []
-    for lo, hi in isolate_real_roots(p):
+    if intervals is None:
+        intervals = isolate_real_roots(p)
+    for lo, hi in intervals:
         if lo < hi:
             w = hi - lo
             cand = simplest_between(lo + w / 8, hi - w / 8)

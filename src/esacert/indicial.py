@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .exact import RationalPolynomial, as_fraction
 from .roots import START_BITS
 
@@ -160,6 +158,8 @@ def quartic_roots_closed_form(params: EulerParams,
     the outer radicands (5 - 4 c1) -+ 4 sqrt(inner) have exactly decidable
     signs.  Floating point never gets to choose a branch.
     """
+    import mpmath as mp
+
     c1, c2 = params.c1, params.c2
     inner_radicand = 1 - 4 * c1 + c1 * c1 - c2
     s = 5 - 4 * c1

@@ -1,24 +1,33 @@
 """Certified complex root enclosures for rational polynomials.
 
-Strategy: exact square-free decomposition first, then per square-free factor
+Strategy: when p is even about its centroid a, that is p(a + w) = G(w^2)
+as for every indicial polynomial (roots pair to 2m - 1) and every Euler
+quartic (pairs sum to 3), the exact steps run on G at half the degree;
+any other p takes them itself.
 
-1. rational roots are split off exactly (by the rational root theorem on
-   Sturm isolating intervals) and reported with radius zero;
-2. the remaining factor f of degree d is handed to an Aberth-Ehrlich
-   simultaneous iteration in mpmath at the working precision, with
-   deterministic initial points from the Newton polygon.  When f is even
-   about its centroid a = -f[d-1]/(d f[d]), that is f(a + w) = g(w^2) as
-   for every indicial polynomial (roots pair to 2m - 1) and every Euler
-   quartic (pairs sum to 3), the iteration runs on g of degree d/2 and
-   each root y of g gives the two centers a +- sqrt(y), the square root
-   taken in mpmath and the sum with a exactly;
+1. exact square-free decomposition, then per square-free factor the
+   rational roots are split off exactly (by the rational root theorem on
+   Sturm isolating intervals) and reported with radius zero.  On G, a
+   rational root y that is the square of a rational gives the exact roots
+   a +- sqrt(y) (y = 0 gives a, with twice the multiplicity);
+2. each remaining factor f is handed to an Aberth-Ehrlich simultaneous
+   iteration from deterministic Newton-polygon initial points, run first in
+   hardware floats and polished in mpmath at the working precision (from
+   the initial points themselves at escalated precision, or when the floats
+   fail).  If f(a + w) = g(w^2), the iteration runs on g and each root y of
+   g gives the two centers a +- sqrt(y), the square root taken in mpmath and
+   the sum with a exactly; a root y that the Sturm isolation of g shows to
+   be real is put on the real axis, so its centers lie on the real axis
+   (y > 0) or on the line Re z = a (y < 0);
 3. every candidate center is certified on f itself by the exact bound
    |x - nearest root| <= deg * |f(x)| / |f'(x)|, evaluated in integer
    arithmetic at the rational center (mpmath supplies candidates only, never
    the certificate);
 4. precision doubles from START_BITS up to MAX_BITS until all disks are
    pairwise disjoint, in which case each disk provably contains exactly one
-   root.
+   root.  A disk centred on the real axis (or on Re z = a) then holds a
+   real root (one on that line): the mirror image of its root is a root in
+   the same disk.
 
 The disks feed the numeric trajectory output only, and serve the tests as
 an oracle independent of the exact half-plane count in the stability layer;
@@ -27,19 +36,19 @@ no verdict is taken from them.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import mpmath as mp
-
-from .exact import (RationalPolynomial, as_fraction, primitive_part,
-                    rational_roots, square_free_decomposition)
+from .exact import (RationalPolynomial, as_fraction, isolate_real_roots,
+                    primitive_part, rational_roots, square_free_decomposition)
 
 START_BITS = 128   # first working precision of every numeric root computation
 MAX_BITS = 4096    # certified_roots gives up beyond this precision
+FLOAT_TOL = 2.0 ** -45  # relative step at which the float iteration stops
 
 
 class PrecisionExceededError(RuntimeError):
@@ -154,86 +163,224 @@ def _initial_radii(coeffs: Sequence[Fraction]) -> list:
     return radii
 
 
+def _aberth_step(i: int, z: list, cs: Sequence):
+    """The Aberth-Ehrlich correction of z[i] for the polynomial with
+    ascending coefficients cs, in the number type of z (Python complex or
+    mpmath mpc); None at a zero of the derivative or where z[i] meets
+    another iterate."""
+    zi = z[i]
+    pv, dv = cs[-1], 0 * zi
+    for c in reversed(cs[:-1]):
+        dv = dv * zi + pv
+        pv = pv * zi + c
+    if dv == 0:
+        return None
+    s = 0 * zi
+    for j, zj in enumerate(z):
+        if j != i:
+            dz = zi - zj
+            if dz == 0:
+                return None
+            s += 1 / dz
+    newton = pv / dv
+    denom = 1 - newton * s
+    return newton if denom == 0 else newton / denom
+
+
+def _iterate(z: list, cs: Sequence, tol, steps: int, nudge=None) -> bool:
+    """At most `steps` Aberth-Ehrlich sweeps on the iterates z, in place.
+
+    A root is frozen once its step is below tol relative to 1 + |z|, so the
+    roots already found stop moving while a cluster converges.  Where a
+    correction is undefined, nudge(i) moves z[i] on; without a nudge the
+    iteration gives up and returns False.
+    """
+    active = range(len(z))
+    for _ in range(steps):
+        moving = []
+        for i in active:
+            step = _aberth_step(i, z, cs)
+            if step is None:
+                if nudge is None:
+                    return False
+                nudge(i)
+                moving.append(i)
+                continue
+            z[i] -= step
+            if abs(step) >= tol * (1 + abs(z[i])):
+                moving.append(i)
+        active = moving
+        if not active:
+            break
+    return True
+
+
+def _float_seeds(coeffs: Sequence[Fraction], start: list, steps: int):
+    """The Aberth iterates from `start` in hardware floats, or None when the
+    floats overflow or two iterates collide."""
+    try:
+        z = list(start)
+        if not _iterate(z, [float(c) for c in coeffs], FLOAT_TOL, steps):
+            return None
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return z if all(cmath.isfinite(w) for w in z) else None
+
+
 def _aberth(coeffs: Sequence[Fraction], prec_bits: int,
             steps: int | None = None) -> list:
     """Aberth-Ehrlich candidates for a square-free polynomial (ascending coeffs),
-    after at most `steps` sweeps (by default 40 + 10 * degree)."""
+    after at most `steps` sweeps (by default 40 + 10 * degree + prec_bits/2).
+
+    The iteration starts from the Newton-polygon points.  At START_BITS it
+    first runs in hardware floats, and the multiprecision sweeps only polish
+    its result; at escalated precision, or when the floats overflow or two
+    iterates collide, the multiprecision sweeps start from the points
+    themselves.
+    """
+    import mpmath as mp
+
     d = len(coeffs) - 1
     if steps is None:
-        steps = 40 + 10 * d
+        steps = 40 + 10 * d + prec_bits // 2
+    radii = _initial_radii(coeffs)
+    seeds = None
+    if prec_bits == START_BITS:
+        seeds = _float_seeds(coeffs, [r * cmath.exp(1j * (2 * math.pi * k / d + 0.7))
+                                      for k, r in enumerate(radii)], steps)
     with mp.workprec(prec_bits):
         cs = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in coeffs]
-        dcs = [k * c for k, c in enumerate(cs)][1:]
-
-        def horner(zz, cc):
-            acc = mp.mpc(0)
-            for c in reversed(cc):
-                acc = acc * zz + c
-            return acc
-
-        radii = _initial_radii(coeffs)
-        z = [mp.mpc(mp.mpf(radii[k]) * mp.cos(2 * mp.pi * k / d + mp.mpf("0.7")),
-                    mp.mpf(radii[k]) * mp.sin(2 * mp.pi * k / d + mp.mpf("0.7")))
-             for k in range(d)]
+        if seeds is not None:
+            z = [mp.mpc(w) for w in seeds]
+        else:
+            z = [mp.mpc(mp.mpf(radii[k]) * mp.cos(2 * mp.pi * k / d + mp.mpf("0.7")),
+                        mp.mpf(radii[k]) * mp.sin(2 * mp.pi * k / d + mp.mpf("0.7")))
+                 for k in range(d)]
         # centers only need to be good enough for the exact certificates to
         # separate; three quarters of the working precision leaves ample slack
         tol = mp.mpf(2) ** (-(3 * prec_bits) // 4)
-        for _ in range(steps):
-            max_step = mp.mpf(0)
-            for i in range(d):
-                pv = horner(z[i], cs)
-                dv = horner(z[i], dcs)
-                if dv == 0:
-                    z[i] = z[i] + mp.mpc(tol, tol) * (1 + abs(z[i])) * (i + 1)
-                    max_step = mp.mpf(1)
-                    continue
-                newton = pv / dv
-                s = mp.mpc(0)
-                collide = False
-                for j in range(d):
-                    if j == i:
-                        continue
-                    dz = z[i] - z[j]
-                    if dz == 0:
-                        collide = True
-                        break
-                    s += 1 / dz
-                if collide:
-                    z[i] = z[i] + mp.mpc(0, tol) * (1 + abs(z[i])) * (i + 1)
-                    max_step = mp.mpf(1)
-                    continue
-                denom = 1 - newton * s
-                step = newton if denom == 0 else newton / denom
-                z[i] = z[i] - step
-                rel = abs(step) / (1 + abs(z[i]))
-                if rel > max_step:
-                    max_step = rel
-            if max_step < tol:
-                break
-        return [(_mpf_to_fraction(w.real), _mpf_to_fraction(w.imag)) for w in z]
+
+        def nudge(i):
+            z[i] += mp.mpc(tol, tol) * (1 + abs(z[i])) * (i + 1)
+
+        _iterate(z, cs, tol, steps, nudge)
+        # a part below the working precision relative to |w| is noise; as a
+        # Fraction it would only inflate the certificate's integers
+        out = []
+        for w in z:
+            small = abs(w) * mp.mpf(2) ** -prec_bits
+            out.append(tuple(Fraction(0) if abs(x) < small else _mpf_to_fraction(x)
+                             for x in (w.real, w.imag)))
+        return out
 
 
-def _centers(f: RationalPolynomial, prec_bits: int) -> list:
-    """Candidate centers for the roots of a monic square-free f.
+@dataclass(frozen=True)
+class _NumericFactor:
+    """A monic square-free factor f of the input with no rational root, to be
+    enclosed numerically; each of its roots has multiplicity `mult`.
 
-    If f(a + w) = g(w^2) about the centroid a, Aberth runs on g at half the
-    degree and each root y of g gives a +- sqrt(y); the pairs are exactly
-    symmetric about a.  Any other f takes the full-degree iteration.
+    With a centre a, f(a + w) = g(w^2): the iteration runs on g, and the
+    `real` roots of g that its Sturm isolation found are put on the real
+    axis.  Without one, the iteration runs on f.
     """
-    a = -f.coeffs[-2] / f.degree
-    shifted = f.shift(a)
-    if any(shifted.coeffs[1::2]):
-        return _aberth(f.coeffs, prec_bits)
+
+    f: RationalPolynomial
+    mult: int
+    a: Fraction | None = None
+    g: RationalPolynomial | None = None
+    real: int = 0
+
+
+def _even_about_centroid(p: RationalPolynomial):
+    """(a, G) with p(a + w) = G(w^2) and a the centroid of p's roots, or None
+    if p has no such symmetry."""
+    d = p.degree
+    if d % 2:
+        return None
+    a = -p.coeffs[-2] / (d * p.coeffs[-1])
+    even, odd = p.shift(a).even_odd_split()
+    return None if not odd.is_zero else (a, even)
+
+
+def _rational_sqrt(y: Fraction):
+    """The rational square root of y >= 0, or None if y is not a square."""
+    if y < 0:
+        return None
+    num, den = math.isqrt(y.numerator), math.isqrt(y.denominator)
+    if num * num == y.numerator and den * den == y.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _split(p: RationalPolynomial) -> tuple:
+    """The exact roots [(value, multiplicity)] and the `_NumericFactor`s of p.
+
+    If p(a + w) = G(w^2), the exact steps run on G at half the degree: a
+    rational root y of a square-free factor G_i of multiplicity i that is
+    the square of a rational gives the roots a +- sqrt(y) of multiplicity i
+    (y = 0 gives a, of multiplicity 2i), and what is left of G_i is
+    enclosed through G_i((z - a)^2).  Otherwise the exact steps run on p.
+    """
+    half = _even_about_centroid(p)
+    exact, numeric = [], []
+    if half is None:
+        for f, mult in square_free_decomposition(p):
+            for r in rational_roots(f):
+                f = f.divide_exact(RationalPolynomial((-r, 1)))
+                exact.append((r, mult))
+            if f.degree >= 1:
+                f = f.monic()
+                numeric.append(_NumericFactor(f, mult, *(_even_about_centroid(f) or ())))
+        return exact, numeric
+    a, big_g = half
+    for g, mult in square_free_decomposition(big_g):
+        intervals = isolate_real_roots(g)
+        real = len(intervals)
+        for y in rational_roots(g, intervals):
+            s = _rational_sqrt(y)
+            if s is None:
+                continue
+            g = g.divide_exact(RationalPolynomial((-y, 1)))
+            real -= 1
+            exact += [(a, 2 * mult)] if s == 0 else [(a - s, mult), (a + s, mult)]
+        if g.degree >= 1:
+            g = g.monic()
+            if 2 * g.degree == p.degree:   # g is G, so g((z - a)^2) is p
+                f = p.monic()
+            else:
+                f = RationalPolynomial([c for gk in g.coeffs for c in (gk, 0)][:-1])
+                f = f.shift(-a)
+            numeric.append(_NumericFactor(f, mult, a, g, real))
+    return exact, numeric
+
+
+def _centers(job: _NumericFactor, prec_bits: int) -> list:
+    """Candidate centers for the roots of job.f.
+
+    With a centre a, Aberth runs on g at half the degree and each root y of
+    g gives a +- sqrt(y), the square root taken in mpmath and the sum with a
+    exactly, so the pairs are exactly symmetric about a.  A real y gives
+    centers on the real axis (y > 0) or on the line Re z = a (y < 0).
+    """
+    if job.a is None:
+        return _aberth(job.f.coeffs, prec_bits)
+    import mpmath as mp
+
+    # the step budget of the full degree: the iterates close in on a
+    # cluster of roots of g no faster than on the matching roots of f
+    ys = _aberth(job.g.coeffs, prec_bits,
+                 steps=40 + 10 * job.f.degree + prec_bits // 2)
+    # g has `real` real roots, and its iterates nearest the axis are those
+    for k in sorted(range(len(ys)), key=lambda k: abs(ys[k][1]))[:job.real]:
+        ys[k] = (ys[k][0], Fraction(0))
     out = []
     with mp.workprec(prec_bits):
-        # the step budget of the full degree: the iterates close in on a
-        # cluster of roots of g no faster than on the matching roots of f
-        for yr, yi in _aberth(shifted.coeffs[0::2], prec_bits,
-                              steps=40 + 10 * f.degree):
+        for yr, yi in ys:
+            # the square root of a real y is real or purely imaginary
             s = mp.sqrt(mp.mpc(mp.mpf(yr.numerator) / yr.denominator,
                                mp.mpf(yi.numerator) / yi.denominator))
             sr, si = _mpf_to_fraction(s.real), _mpf_to_fraction(s.imag)
-            out += [(a + sr, si), (a - sr, -si)]
+            out += [(job.a + sr, si), (job.a - sr, -si)]
     return out
 
 
@@ -266,12 +413,18 @@ def _certify(f: RationalPolynomial, centers: list):
 
 
 def _pairwise_disjoint(disks: list) -> bool:
-    """Exact check that closed disks (re, im, radius) are pairwise disjoint."""
-    n = len(disks)
-    for i in range(n):
-        ri, ii, pi = disks[i]
-        for j in range(i + 1, n):
-            rj, ij, pj = disks[j]
+    """Exact check that closed disks (re, im, radius) are pairwise disjoint.
+
+    Disks sorted by the left end re - radius of their shadow on the real
+    axis; a disk whose shadow starts right of another's ends is disjoint
+    from it, and so is every disk after it.
+    """
+    edges = sorted(((re - rad, re + rad, re, im, rad) for re, im, rad in disks),
+                   key=lambda t: t[0])
+    for i, (_, right, ri, ii, pi) in enumerate(edges):
+        for left, _, rj, ij, pj in edges[i + 1:]:
+            if left > right:
+                break
             dr, di = ri - rj, ii - ij
             s = pi + pj
             if dr * dr + di * di <= s * s:
@@ -286,37 +439,31 @@ def certified_roots(p: RationalPolynomial,
     The working precision starts at `precision_bits` and doubles until the
     disks are pairwise disjoint.  Raises PrecisionExceededError if that is
     not reached by MAX_BITS (never returns silently inexact output).
-    Rational roots are split off exactly and carry radius zero.  A factor
-    even about its centroid gets its centers from the half-degree
-    iteration (see `_centers`), one without that symmetry from the
-    full-degree one; either way the disks are certified on the factor
-    itself.  A cluster (in the half-degree case, two roots of g close
-    together) only raises the precision.
+    Rational roots are split off exactly and carry radius zero.  If p is
+    even about its centroid, the exact steps and the iteration run at half
+    the degree (see `_split` and `_centers`); otherwise a factor even about
+    its own centroid still gets the half-degree iteration.  Either way the
+    disks are certified on the numeric factor itself.  A cluster (in the
+    half-degree case, two roots of g close together) only raises the
+    precision.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    exact_roots = []   # (value, multiplicity)
-    numeric_jobs = []  # (factor, multiplicity)
-    for f, mult in square_free_decomposition(p):
-        for r in rational_roots(f):
-            f = f.divide_exact(RationalPolynomial((-r, 1)))
-            exact_roots.append((r, mult))
-        if f.degree >= 1:
-            numeric_jobs.append((f.monic(), mult))
-
+    exact_roots, numeric = _split(p)
     prec = precision_bits
     while True:
         roots = [CertifiedRoot(re=r, im=Fraction(0), radius=Fraction(0),
                                multiplicity=m) for r, m in exact_roots]
         ok = True
-        for f, mult in numeric_jobs:
-            centers = _centers(f, prec)
-            radii = _certify(f, centers)
+        for job in numeric:
+            centers = _centers(job, prec)
+            radii = _certify(job.f, centers)
             if radii is None:
                 ok = False
                 break
             for (re, im), rad in zip(centers, radii):
-                roots.append(CertifiedRoot(re=re, im=im, radius=rad, multiplicity=mult))
+                roots.append(CertifiedRoot(re=re, im=im, radius=rad,
+                                           multiplicity=job.mult))
         if ok and _pairwise_disjoint([(r.re, r.im, r.radius) for r in roots]):
             roots.sort(key=lambda r: (r.re, r.im))
             return OrderedRootSet(roots=tuple(roots), source=p, precision_bits=prec)

@@ -394,3 +394,33 @@ def test_decide_loads_no_process_pool():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_verdict_commands_load_no_mpmath():
+    # verdicts are exact, so decide, region and table never import mpmath
+    # (nor frobenius, which loads on first use of a basis or fig2)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "import esacert.cli\n"
+        "run = esacert.cli.run\n"
+        "assert run(['decide', '--m', '2', '--n', '8', '--l', '0', '--c', '0']) == 0\n"
+        "assert run(['region', '--m', '2', '--n', '5', '--all-l', '--lmax', '2']) == 0\n"
+        "assert run(['table', '--which', 'gamma2']) == 0\n"
+        "print(sorted(m for m in ('mpmath', 'esacert.frobenius') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_resolves_frobenius_names_on_first_use():
+    import esacert
+    from esacert import frobenius
+
+    assert esacert.select_fundamental_system is frobenius.select_fundamental_system
+    assert set(esacert._FROBENIUS) <= set(esacert.__all__)
+    with pytest.raises(AttributeError):
+        esacert.no_such_name

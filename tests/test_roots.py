@@ -13,8 +13,9 @@ from esacert.exact import (RationalPolynomial, exact_real_roots, rational_roots,
 from esacert.indicial import IndicialSpec, build_indicial, euler_quartic
 from esacert.roots import (MAX_BITS, START_BITS, CertifiedRoot,
                            RealPartPosition, Unresolved, _aberth, _certify,
+                           _even_about_centroid, _float_seeds,
                            _min_cost_assignment, _pairwise_disjoint,
-                           _sqrt_upper_pow2,
+                           _split, _sqrt_upper_pow2,
                            certified_roots, label_trajectories,
                            real_part_position, root_trajectories,
                            trajectory_table)
@@ -307,6 +308,156 @@ class TestHalvedPath:
         assert degrees == [1]
         assert [(r.re, r.im) for r in rs.roots] == [
             (F(3, 2), -1), (F(3, 2), 0), (F(3, 2), 1)]
+
+
+def _full_degree_split(p):
+    """Exact roots and numeric factors of p from the exact steps on p itself."""
+    exact, numeric = [], []
+    for f, mult in square_free_decomposition(p):
+        for r in rational_roots(f):
+            f = f.divide_exact(RationalPolynomial((-r, 1)))
+            exact.append((r, mult))
+        if f.degree >= 1:
+            numeric.append((mult, f.monic()))
+    return sorted(exact), sorted(numeric, key=lambda t: t[0])
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+_positive = _small.map(abs).filter(lambda q: q != 0)
+
+
+@st.composite
+def paired_products(draw):
+    """prod ((z - a)^2 - y)^k over 1..4 draws of y, k in 1..3, with y a
+    rational square, twice a square (never a square), zero or negative,
+    plus a conjugate pair of non-real y from an irreducible quadratic."""
+    a = draw(_small)
+    w = RationalPolynomial((-a, 1))
+    w2 = w * w
+    p = RationalPolynomial.one()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("square", "non-square", "zero",
+                                     "negative", "complex")))
+        q = draw(_positive)
+        if kind == "complex":
+            u = draw(_small)
+            factor = (w2 - u) ** 2 + q   # y = u +- i sqrt(q)
+        else:
+            y = {"square": q * q, "non-square": 2 * q * q,
+                 "zero": F(0), "negative": -q}[kind]
+            factor = w2 - y
+        p = p * factor ** draw(st.integers(1, 3))
+    return a, p
+
+
+class TestHalfDegreeSplit:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(paired_products())
+    def test_matches_full_degree_split(self, case):
+        a, p = case
+        assert _even_about_centroid(p)[0] == a
+        exact, numeric = _split(p)
+        full_exact, full_numeric = _full_degree_split(p)
+        assert sorted(exact) == full_exact
+        assert sorted(((job.mult, job.f) for job in numeric),
+                      key=lambda t: t[0]) == full_numeric
+        for job in numeric:
+            assert job.a == a and 2 * job.g.degree == job.f.degree
+
+    def test_exact_steps_run_at_half_degree(self, monkeypatch):
+        degrees = []
+        for name in ("square_free_decomposition", "rational_roots"):
+            fn = getattr(roots, name)
+
+            def spy(q, *args, fn=fn):
+                degrees.append(q.degree)
+                return fn(q, *args)
+
+            monkeypatch.setattr(roots, name, spy)
+        certified_roots(build_indicial(IndicialSpec(5, 20, 0, F(15 * 10 ** 9))))
+        assert degrees == [5, 5]
+
+    def test_rational_squares_are_exact(self):
+        w2 = (Z - F(1, 3)) ** 2
+        p = (w2 - F(4, 9)) ** 2 * w2 * (w2 - 2) * (w2 + 1)
+        exact, numeric = _split(p)
+        assert sorted(exact) == [(F(-1, 3), 2), (F(1, 3), 2), (F(1), 2)]
+        assert [(job.mult, job.f.degree, job.real) for job in numeric] == [(1, 4, 2)]
+
+
+class TestAxisRoots:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(symmetric_specs())
+    def test_real_roots_have_zero_imaginary_part(self, p):
+        rs = certified_roots(p)
+        on_axis = sum(r.multiplicity for r in rs.roots if r.im == 0)
+        assert on_axis == sum(m for _iv, m in sturm_isolate(p))
+
+    def test_negative_y_gives_the_line_through_the_centre(self):
+        p = ((Z - F(3, 2)) ** 2 + 2) * ((Z - F(3, 2)) ** 2 - 3)
+        rs = certified_roots(p)
+        assert [r.im for r in rs.roots if r.re != F(3, 2)] == [0, 0]
+        line = [r for r in rs.roots if r.re == F(3, 2)]
+        assert len(line) == 2 and line[0].im == -line[1].im < 0
+
+    def test_real_roots_print_zero_im(self):
+        rows = root_trajectories(5, 20, 0, [F(15 * 10 ** 9)])
+        body = roots.trajectory_csv_rows(rows)[1:]
+        real = [row for row in body if row[3] == "0.0"]
+        # two real roots at 1.5e10 (-10.03 and 19.03), eight non-real
+        assert len(real) == 2
+        assert all(float(row[3]) != 0 for row in body if row not in real)
+
+
+class TestStepBudget:
+    def test_pairs_closer_than_the_fixed_budget_reached(self):
+        # 3/2 +- sqrt(2) and 3/2 +- sqrt(2 + 10^-60): the iteration needs
+        # more sweeps than 40 + 10 * degree to resolve the cluster at y = 2
+        p = ((Z - F(3, 2)) ** 2 - 2) * ((Z - F(3, 2)) ** 2 - 2 - F(1, 10 ** 60))
+        rs = certified_roots(p)
+        assert rs.precision_bits == 512
+        assert rs.degree == 4 and all(r.im == 0 for r in rs.roots)
+
+    @pytest.mark.parametrize("e", (40, 60))
+    def test_non_symmetric_cluster(self, e):
+        p = (Z * Z - 2) * (Z * Z - 2 - F(1, 10 ** e)) * (Z * Z + Z + 7)
+        rs = certified_roots(p)
+        assert rs.precision_bits == 512 and rs.degree == 6
+        # a root stops moving once converged, so its center keeps the size
+        # of the working precision
+        assert all(max(r.re.denominator, r.im.denominator).bit_length() < 4096
+                   for r in rs.roots)
+
+
+class TestFloatSeeds:
+    def test_polish_takes_two_sweeps(self, monkeypatch):
+        sweeps = []
+        step = roots._aberth_step
+
+        def spy(i, z, cs):
+            if not isinstance(z[0], complex):
+                sweeps.append(i)
+            return step(i, z, cs)
+
+        monkeypatch.setattr(roots, "_aberth_step", spy)
+        rs = certified_roots(build_indicial(IndicialSpec(5, 20, 0, F(15 * 10 ** 9))))
+        assert rs.precision_bits == START_BITS
+        assert len(sweeps) == 2 * 5
+
+    def test_overflow_and_collision_give_no_seeds(self):
+        assert _float_seeds([F(10 ** 400), F(0), F(1)], [1j, -1j], 50) is None
+        assert _float_seeds([F(2), F(0), F(1)], [1 + 1j, 1 + 1j], 50) is None
+        seeds = _float_seeds([F(2), F(0), F(1)], [1 + 1j, -1 - 1j], 50)
+        assert sorted(abs(w.imag) for w in seeds) == pytest.approx([2 ** 0.5] * 2)
+
+    def test_cold_start_beyond_the_float_range(self):
+        # z^3 - z - 10^400 overflows the floats; the roots have modulus
+        # about 10^133.3, and the cold start still encloses them
+        p = Z ** 3 - Z - 10 ** 400
+        rs = certified_roots(p)
+        assert rs.precision_bits == START_BITS and rs.degree == 3
+        assert all(abs(abs(complex(float(r.re), float(r.im))) / 10 ** 133.3333333 - 1)
+                   < 1e-6 for r in rs.roots)
 
 
 class TestTrajectories:
