@@ -5,6 +5,7 @@ from fractions import Fraction as Rational
 from .poly import (
     RationalPolynomial,
     as_fraction,
+    bareiss_det,
     cauchy_index,
     cauchy_root_bound,
     char_poly,
@@ -29,6 +30,7 @@ __all__ = [
     "RationalPolynomial",
     "AlgebraicReal",
     "as_fraction",
+    "bareiss_det",
     "cauchy_index",
     "cauchy_root_bound",
     "char_poly",

@@ -10,8 +10,9 @@ point enters any code path.  Provided machinery:
 * Sturm chains and signed remainder sequences (primitive,
   sign-preserving), Cauchy indices, real-root counting, isolation into
   disjoint rational intervals, bisection refinement,
-* resultants and discriminants via exact Sylvester determinants,
-  characteristic polynomials (Berkowitz),
+* resultants and discriminants via integer Sylvester determinants
+  (fraction-free Bareiss after clearing each polynomial's denominators),
+  characteristic polynomials (Berkowitz, over the integers or Q),
 * complete rational-root detection (rational root theorem on refined
   isolating intervals).
 
@@ -348,17 +349,28 @@ def square_free_part(p: RationalPolynomial) -> RationalPolynomial:
     return p.divide_exact(g).monic()
 
 
-def square_free_decomposition(p: RationalPolynomial) -> list:
+def square_free_decomposition(p: RationalPolynomial, chains=None) -> list:
     """Yun's algorithm.  Returns [(f_i, i)] with p = lc * prod f_i^i,
-    the f_i monic, square-free and pairwise coprime."""
+    the f_i monic, square-free and pairwise coprime.
+
+    If `chains` is a list, gcd(p, p') is read off the Sturm chain of the
+    monic p, and `chains` receives per returned factor its Sturm chain
+    (for a square-free p, that chain) or None, for reuse in isolation.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
     q = p.monic()
     dq = q.derivative()
-    g = poly_gcd(q, dq)
+    if chains is None:
+        g = poly_gcd(q, dq)
+    else:
+        chain = sturm_chain(q)   # its last entry is a gcd of q and q'
+        g = RationalPolynomial(chain[-1]).monic()
     if g.degree == 0:
+        if chains is not None:
+            chains.append(chain)
         return [(q, 1)]
     w = q.divide_exact(g)
     y = dq.divide_exact(g)
@@ -380,6 +392,8 @@ def square_free_decomposition(p: RationalPolynomial) -> list:
         check = check * f ** m
     if check != q:
         raise AssertionError("square-free decomposition failed to reconstruct input")
+    if chains is not None:
+        chains.extend([None] * len(out))
     return out
 
 
@@ -475,16 +489,17 @@ def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
     return Fraction(math.floor(b) + 1)
 
 
-def isolate_real_roots(p: RationalPolynomial) -> list:
+def isolate_real_roots(p: RationalPolynomial, chain=None) -> list:
     """Isolating intervals for ALL real roots of a square-free polynomial.
 
     Returns a sorted list of (lo, hi) Fractions; lo == hi marks an exact
     rational root, otherwise the unique root lies in the open interval and
-    sign(p(lo)) != sign(p(hi)).
+    sign(p(lo)) != sign(p(hi)).  `chain`, if given, is `sturm_chain(p)`.
     """
     if p.degree < 1:
         return []
-    chain = sturm_chain(p)
+    if chain is None:
+        chain = sturm_chain(p)
     bound = cauchy_root_bound(p)
     lo0, hi0 = -bound, bound
 
@@ -599,7 +614,7 @@ def sturm_isolate(p: RationalPolynomial) -> list:
 # -- resultants -----------------------------------------------------------------
 
 
-def _bareiss_det_int(rows: list) -> int:
+def bareiss_det(rows: list) -> int:
     """Fraction-free Bareiss determinant of a square integer matrix."""
     a = [row[:] for row in rows]
     n = len(a)
@@ -636,18 +651,20 @@ def det_fractions(rows: list) -> Fraction:
             den = den * c.denominator // math.gcd(den, c.denominator)
         int_rows.append([int(as_fraction(c) * den) for c in row])
         scale *= den
-    return Fraction(_bareiss_det_int(int_rows)) / scale
+    return Fraction(bareiss_det(int_rows)) / scale
 
 
 def char_poly(rows: list) -> RationalPolynomial:
-    """det(x I - A) of a square matrix of Fractions, by Berkowitz's
-    division-free algorithm (exact, O(n^4) ring operations)."""
-    desc = [Fraction(1)]  # descending coefficients for the empty leading block
+    """det(x I - A) of a square matrix, by Berkowitz's division-free
+    algorithm (exact, O(n^4) ring operations).  The entries may be ints or
+    Fractions: only ring operations are used, so an integer matrix is
+    handled in integers throughout."""
+    desc = [1]  # descending coefficients for the empty leading block
     for r in range(len(rows)):
         # with A_r the leading r x r block, R = A[r][:r] and S = A[:r][r], the
         # Toeplitz column is 1, -a_rr, -R S, -R A_r S, ..., -R A_r^(r-1) S
         head = rows[r][:r]
-        col = [Fraction(1), -rows[r][r]]
+        col = [1, -rows[r][r]]
         x = [rows[i][r] for i in range(r)]
         for _ in range(r):
             col.append(-sum(a * b for a, b in zip(head, x)))
@@ -658,7 +675,12 @@ def char_poly(rows: list) -> RationalPolynomial:
 
 
 def resultant(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:
-    """Resultant via the Sylvester matrix (exact)."""
+    """Resultant via the Sylvester matrix, exactly.
+
+    With p = P / d_p and q = Q / d_q for integer P, Q and the least common
+    denominators d_p, d_q, res(p, q) = res(P, Q) / (d_p^deg q * d_q^deg p),
+    and res(P, Q) is the Bareiss determinant of an integer matrix.
+    """
     m, n = p.degree, q.degree
     if m < 0 or n < 0:
         return Fraction(0)
@@ -667,14 +689,13 @@ def resultant(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:
     if n == 0:
         return q.coeffs[0] ** m
     size = m + n
-    rows = []
-    pd = list(p.descending())
-    qd = list(q.descending())
-    for i in range(n):
-        rows.append([Fraction(0)] * i + pd + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + qd + [Fraction(0)] * (size - n - 1 - i))
-    return det_fractions(rows)
+    dp = math.lcm(*(c.denominator for c in p.coeffs))
+    dq = math.lcm(*(c.denominator for c in q.coeffs))
+    pd = [c.numerator * (dp // c.denominator) for c in reversed(p.coeffs)]
+    qd = [c.numerator * (dq // c.denominator) for c in reversed(q.coeffs)]
+    rows = [[0] * i + pd + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + qd + [0] * (size - n - 1 - i) for i in range(m)]
+    return Fraction(bareiss_det(rows), dp ** n * dq ** m)
 
 
 def discriminant(p: RationalPolynomial) -> Fraction:

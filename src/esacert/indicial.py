@@ -84,13 +84,16 @@ def euler_params(n: int, l: int, c) -> EulerParams:
     return EulerParams(c1=c1, c2=c1 * c1 + as_fraction(c))
 
 
-def indicial_base(m: int, nu: int, shift=0) -> RationalPolynomial:
-    """The coupling-free part of the indicial polynomial, for nu = n + 2l,
-    as a polynomial in w with z = w + shift for a half-integer shift.
+def indicial_scale(m: int) -> Fraction:
+    """(-1)^m 4^-m, the factor between indicial_product and indicial_base."""
+    return Fraction((-1) ** m, 4 ** m)
 
-    Its roots are the half-integers k/2 for k = nu + 4j - 5 and
-    k = -(nu - 4j + 1), j = 1..m, so it equals
-    (-1)^m 4^-m prod_k (2w + 2 shift - k), a product taken in integers.
+
+def indicial_product(m: int, nu: int, shift=0) -> list:
+    """Ascending integer coefficients of prod_k (2w + 2 shift - k), taken
+    over the 2m half-integer roots k/2 of indicial_base (same arguments).
+
+    The leading coefficient is 4^m.
     """
     twice = 2 * as_fraction(shift)
     if twice.denominator != 1:
@@ -102,8 +105,20 @@ def indicial_base(m: int, nu: int, shift=0) -> RationalPolynomial:
             coeffs = ([c0 * coeffs[0]]
                       + [c0 * hi + 2 * lo for lo, hi in zip(coeffs, coeffs[1:])]
                       + [2 * coeffs[-1]])
-    scale = Fraction((-1) ** m, 4 ** m)
-    return RationalPolynomial([scale * c for c in coeffs])
+    return coeffs
+
+
+def indicial_base(m: int, nu: int, shift=0) -> RationalPolynomial:
+    """The coupling-free part of the indicial polynomial, for nu = n + 2l,
+    as a polynomial in w with z = w + shift for a half-integer shift.
+
+    Its roots are the half-integers k/2 for k = nu + 4j - 5 and
+    k = -(nu - 4j + 1), j = 1..m, so it equals
+    (-1)^m 4^-m prod_k (2w + 2 shift - k), a product taken in integers
+    (indicial_product).
+    """
+    scale = indicial_scale(m)
+    return RationalPolynomial([scale * c for c in indicial_product(m, nu, shift)])
 
 
 def build_indicial(spec: IndicialSpec) -> RationalPolynomial:

@@ -7,9 +7,11 @@ any other p takes them itself.
 
 1. exact square-free decomposition, then per square-free factor the
    rational roots are split off exactly (by the rational root theorem on
-   Sturm isolating intervals) and reported with radius zero.  On G, a
-   rational root y that is the square of a rational gives the exact roots
-   a +- sqrt(y) (y = 0 gives a, with twice the multiplicity);
+   Sturm isolating intervals; when the input is square-free, the Sturm
+   chain that shows it serves the isolation) and reported with radius
+   zero.  On G, a rational root y that is the square of a rational gives
+   the exact roots a +- sqrt(y) (y = 0 gives a, with twice the
+   multiplicity);
 2. each remaining factor f is handed to an Aberth-Ehrlich simultaneous
    iteration from deterministic Newton-polygon initial points, run first in
    hardware floats and polished in mpmath at the working precision (from
@@ -312,6 +314,17 @@ def _rational_sqrt(y: Fraction):
     return None
 
 
+def _square_free_factors(p: RationalPolynomial) -> list:
+    """[(f, multiplicity, isolating intervals of f)] over the square-free
+    decomposition of p.  For a square-free p the Sturm chain that shows it
+    square-free also isolates the roots, so the remainder sequence of
+    (p, p') is built once."""
+    chains = []
+    factors = square_free_decomposition(p, chains)
+    return [(f, mult, isolate_real_roots(f, chain))
+            for (f, mult), chain in zip(factors, chains)]
+
+
 def _split(p: RationalPolynomial) -> tuple:
     """The exact roots [(value, multiplicity)] and the `_NumericFactor`s of p.
 
@@ -324,8 +337,8 @@ def _split(p: RationalPolynomial) -> tuple:
     half = _even_about_centroid(p)
     exact, numeric = [], []
     if half is None:
-        for f, mult in square_free_decomposition(p):
-            for r in rational_roots(f):
+        for f, mult, intervals in _square_free_factors(p):
+            for r in rational_roots(f, intervals):
                 f = f.divide_exact(RationalPolynomial((-r, 1)))
                 exact.append((r, mult))
             if f.degree >= 1:
@@ -333,8 +346,7 @@ def _split(p: RationalPolynomial) -> tuple:
                 numeric.append(_NumericFactor(f, mult, *(_even_about_centroid(f) or ())))
         return exact, numeric
     a, big_g = half
-    for g, mult in square_free_decomposition(big_g):
-        intervals = isolate_real_roots(g)
+    for g, mult, intervals in _square_free_factors(big_g):
         real = len(intervals)
         for y in rational_roots(g, intervals):
             s = _rational_sqrt(y)

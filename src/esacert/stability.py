@@ -27,8 +27,13 @@ the coupling the complete list of boundary candidates for the decision
 problem; candidates are always confirmed by counting, never trusted alone.
 The determinant in the coupling c is assembled as (c - r) times a degree
 m-1 cofactor given by Orlando's formula, a resultant of the even and odd
-parts of the centered polynomial (see hurwitz_assemble); the 2m x 2m
-matrix is only evaluated once, at one rational c, as a check.
+parts of the centered polynomial (see hurwitz_assemble).  It is built in
+integers: the centered polynomial is (-1)^m 4^-m times an integer
+polynomial A, the substitution u = v/a (a the leading coefficient of A's
+odd part) makes that odd part monic, and the cofactor is the integer
+Berkowitz characteristic polynomial of a multiplication matrix over Z,
+scaled into Fractions once at the end.  The 2m x 2m matrix is only
+evaluated once, at one rational c, as a check, by integer Bareiss.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from .exact import (AlgebraicReal, RationalPolynomial, cauchy_index,
-                    char_poly, count_real_roots, det_fractions, discriminant,
+from .exact import (AlgebraicReal, RationalPolynomial, bareiss_det,
+                    cauchy_index, char_poly, count_real_roots, discriminant,
                     exact_real_roots, poly_gcd, square_free_decomposition,
                     sturm_isolate)
-from .indicial import euler_quartic, indicial_base
+from .indicial import euler_quartic, indicial_product, indicial_scale
 
 CRITICAL_RE = Fraction(-1, 2)
 
@@ -51,12 +56,12 @@ CRITICAL_RE = Fraction(-1, 2)
 def hurwitz_matrix(descending_coeffs) -> list:
     """Rows of the Hurwitz matrix for the given descending coefficients.
 
-    Entry (i, j) (1-based) is a_{2j-i}, and Fraction(0) outside 0..n.
+    Entry (i, j) (1-based) is a_{2j-i}, and 0 outside 0..n.
     """
     n = len(descending_coeffs) - 1
 
     def a(k: int):
-        return descending_coeffs[k] if 0 <= k <= n else Fraction(0)
+        return descending_coeffs[k] if 0 <= k <= n else 0
 
     return [[a(2 * j - i) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
@@ -87,17 +92,17 @@ def _orlando_sign(m: int) -> int:
     return -1 if (m * (m - 1) // 2) % 2 else 1
 
 
-def _multiplication_matrix(a: RationalPolynomial, mod: RationalPolynomial) -> list:
-    """Rows of the matrix of multiplication by a on Q[u]/(mod), in the basis
-    1, u, ..., u^(d-1) with d = deg mod (column j holds a * u^j mod mod)."""
-    d = mod.degree
-    u = RationalPolynomial.variable()
-    cols = []
-    r = a % mod
-    for _ in range(d):
-        cols.append([r.coefficient(i) for i in range(d)])
-        r = (r * u) % mod
-    return [[col[i] for col in cols] for i in range(d)]
+def _reduce_monic(p: list, mod: list) -> list:
+    """p mod a monic mod, as ascending integer lists with len(p) > deg mod;
+    the remainder has deg mod coefficients."""
+    d = len(mod) - 1
+    p = list(p)
+    for k in range(len(p) - 1, d - 1, -1):
+        c = p[k]
+        if c:
+            for i in range(d):
+                p[k - d + i] -= c * mod[i]
+    return p[:d]
 
 
 def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
@@ -111,24 +116,47 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
     determinant over Q[c]: with shifted(w) = E0(w^2) + w O(w^2) and
     deg O = m - 1,
 
-        q_factor = (-1)^(m(m-1)/2) * lc(O)^m * prod_{O(u) = 0} (c + E0(u)),
+        q_factor = (-1)^(m(m-1)/2) * lc(O)^m * prod_{O(u) = 0} (c + E0(u)).
 
-    and the product is det(c I - M), M the matrix of multiplication by -E0
-    on Q[u]/(O).  One probe compares det_in_c with the numeric 2m x 2m
-    Hurwitz determinant at c = r + 1; a mismatch is a construction bug and
-    raises AssertionError.
+    The product is taken in integers.  shifted = s A with A in Z[w] and
+    s = (-1)^m 4^-m (see indicial_product); split A = Ae(w^2) + w Ao(w^2)
+    and let a = lc(Ao).  The substitution u = v / a makes
+    Ao~(v) = a^(m-2) Ao(v/a) monic in Z[v] and Ae~(v) = a^m Ae(v/a)
+    integer, with the roots v = a u.  So multiplication by Ae~ on
+    Z[v]/(Ao~) is an integer (m-1) x (m-1) matrix N, chi(X) = det(X I + N)
+    comes from the integer Berkowitz, and
+
+        q_factor(c) = (-1)^(m(m-1)/2) s^(2m-1) a^(m-m(m-1)) chi(a^m c / s),
+
+    the one step taken in Fractions.  One probe compares det_in_c at
+    c = r + 1 with the integer Bareiss determinant of the 2m x 2m Hurwitz
+    matrix of (-1)^m (A - A(0)) + 4^m, which is 4^(2m^2) times the numeric
+    determinant there; a mismatch is a construction bug and raises
+    AssertionError.
     """
     nu = n + 2 * l
-    shifted = indicial_base(m, nu, CRITICAL_RE)
-    even, odd = shifted.even_odd_split()
-    q_factor = (char_poly(_multiplication_matrix(-even, odd))
-                * (_orlando_sign(m) * odd.leading ** m))
+    big_a = indicial_product(m, nu, CRITICAL_RE)
+    s = indicial_scale(m)
+    shifted = RationalPolynomial(big_a) * s
+    a_even, a_odd = big_a[0::2], big_a[1::2]
+    a = a_odd[-1]
+    # Ao~, and -Ae~ mod Ao~: the coefficient of v^k of Ao (of Ae) times
+    # a^(m-2-k) (a^(m-k)); column j of -N holds -Ae~ v^j mod Ao~
+    mod = [c * a ** (m - 2 - k) for k, c in enumerate(a_odd[:-1])] + [1]
+    col = _reduce_monic([-c * a ** (m - k) for k, c in enumerate(a_even)], mod)
+    cols = []
+    for _ in range(m - 1):
+        cols.append(col)
+        col = _reduce_monic([0] + col, mod)
+    chi = char_poly([list(row) for row in zip(*cols)])   # det(X I + N)
+    q_factor = RationalPolynomial(
+        _orlando_sign(m) * x * s ** (2 * m - 1 - k) * Fraction(a) ** (m * (k - m + 2))
+        for k, x in enumerate(chi.coeffs))
     linear_root = -shifted(Fraction(0))
     det = RationalPolynomial((-linear_root, 1)) * q_factor
-    probe = linear_root + 1
-    desc = list(shifted.descending())
-    desc[-1] += probe
-    if det(probe) != det_fractions(hurwitz_matrix(desc)):
+    probe = [4 ** m] + [(-1) ** m * c for c in big_a[1:]]
+    if 4 ** (2 * m * m) * det(linear_root + 1) != bareiss_det(
+            hurwitz_matrix(probe[::-1])):
         raise AssertionError("Hurwitz cofactor failed the validation probe "
                              "against the 2m x 2m determinant")
     return HurwitzData(m=m, nu=nu, shifted_base=shifted, det_in_c=det,

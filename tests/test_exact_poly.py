@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esacert.exact import (RationalPolynomial, cauchy_index, cauchy_root_bound,
-                           char_poly, count_real_roots, det_fractions,
+from esacert.exact import (RationalPolynomial, bareiss_det, cauchy_index,
+                           cauchy_root_bound, char_poly, count_real_roots,
+                           det_fractions,
                            discriminant, isolate_real_roots,
                            poly_gcd, rational_roots,
                            refine_isolating_interval, resultant,
                            simplest_between, square_free_decomposition,
                            square_free_part, sturm_isolate)
+from esacert.exact.poly import sturm_chain
 from conftest import rand_fraction, rand_poly
 
 Z = RationalPolynomial.variable()
@@ -109,6 +111,21 @@ class TestGcdAndSquareFree:
         assert by_mult[2](F(1)) == 0
         assert by_mult[1](F(-3)) == 0
 
+    def test_chains_leave_the_decomposition_unchanged(self, rng):
+        # the Sturm chain stands in for gcd(p, p') only when it is asked for
+        for _ in range(25):
+            p = RationalPolynomial.one()
+            for mult in range(1, rng.randint(2, 4)):
+                p = p * rand_poly(rng, rng.randint(1, 3)) ** mult
+            chains = []
+            dec = square_free_decomposition(p, chains)
+            assert dec == square_free_decomposition(p)
+            assert len(chains) == len(dec)
+            if dec == [(p.monic(), 1)]:
+                assert chains == [sturm_chain(p.monic())]
+            else:
+                assert chains == [None] * len(dec)
+
     def test_square_free_part(self):
         p = (Z - 2) ** 3 * (Z ** 2 + 1)
         sf = square_free_part(p)
@@ -199,7 +216,31 @@ class TestCauchyIndex:
             cauchy_index(RationalPolynomial.zero(), Z)
 
 
+@st.composite
+def rational_polys(draw, max_degree=6):
+    coeff = st.fractions(-50, 50, max_denominator=12)
+    cs = draw(st.lists(coeff, min_size=1, max_size=max_degree))
+    return RationalPolynomial(cs + [draw(coeff.filter(bool))])
+
+
+def _fraction_sylvester(p, q) -> list:
+    """The Sylvester matrix of p and q, with Fraction entries."""
+    m, n = p.degree, q.degree
+    pd, qd = list(p.descending()), list(q.descending())
+    return ([[F(0)] * i + pd + [F(0)] * (n - 1 - i) for i in range(n)]
+            + [[F(0)] * i + qd + [F(0)] * (m - 1 - i) for i in range(m)])
+
+
 class TestResultant:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(rational_polys(), rational_polys(),
+           st.fractions(-30, 30, max_denominator=9).filter(bool),
+           st.fractions(-30, 30, max_denominator=9).filter(bool))
+    def test_integer_sylvester_matches_fraction_determinant(self, p, q, lam, mu):
+        res = resultant(p, q)
+        assert res == det_fractions(_fraction_sylvester(p, q))
+        assert resultant(p * lam, q * mu) == lam ** q.degree * mu ** p.degree * res
+
     def test_quadratic_discriminant(self, rng):
         for _ in range(15):
             b, c = rand_fraction(rng), rand_fraction(rng)
@@ -252,6 +293,14 @@ class TestCharPoly:
                 shifted = [[(x if i == j else 0) - e for j, e in enumerate(row)]
                            for i, row in enumerate(a)]
                 assert chi(x) == det_fractions(shifted)
+
+    def test_integer_matrix_stays_in_integers(self, rng):
+        for n in range(1, 7):
+            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            chi = char_poly(a)
+            assert chi == char_poly([[F(e) for e in row] for row in a])
+            assert all(c.denominator == 1 for c in chi.coeffs)
+            assert chi(F(0)) == (-1) ** n * bareiss_det(a)
 
     def test_companion_matrix(self, rng):
         for degree in range(1, 7):

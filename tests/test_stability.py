@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from esacert import golden, stability
 from esacert.esa import _hurwitz_cached
-from esacert.exact import (RationalPolynomial, count_real_roots, det_fractions,
-                           poly_gcd, primitive_part, sturm_isolate)
+from esacert.exact import (RationalPolynomial, char_poly, count_real_roots,
+                           det_fractions, poly_gcd, primitive_part,
+                           sturm_isolate)
 from esacert.indicial import (IndicialSpec, build_indicial, euler_quartic,
                               indicial_base)
 from esacert.roots import Unresolved, certified_roots, real_part_position
-from esacert.stability import (CRITICAL_RE, HalfPlaneCount, QuarticRootClass,
+from esacert.stability import (CRITICAL_RE, HalfPlaneCount, HurwitzData,
+                               QuarticRootClass,
                                axis_roots_exact, critical_line_parts, disc_q3,
                                euler_hurwitz_matrix, halfplane_count,
                                hurwitz_assemble, hurwitz_matrix,
@@ -142,6 +144,63 @@ class TestOrlandoCofactor:
             assert (hd.m, hd.nu) == (m, n + 2 * l)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 hd.q_factor = RationalPolynomial.one()
+
+
+def _multiplication_matrix(a: RationalPolynomial, mod: RationalPolynomial) -> list:
+    """Rows of the matrix of multiplication by a on Q[u]/(mod), in the basis
+    1, u, ..., u^(d-1) with d = deg mod (column j holds a * u^j mod mod)."""
+    d = mod.degree
+    cols = []
+    r = a % mod
+    for _ in range(d):
+        cols.append([r.coefficient(i) for i in range(d)])
+        r = (r * Z) % mod
+    return [[col[i] for col in cols] for i in range(d)]
+
+
+def _fraction_orlando(m: int, nu: int) -> HurwitzData:
+    """Hurwitz data by Orlando's formula taken over Q: the cofactor is
+    (-1)^(m(m-1)/2) lc(O)^m det(c I - M), M the multiplication by -E0 on
+    Q[u]/(O), with shifted(w) = E0(w^2) + w O(w^2)."""
+    shifted = indicial_base(m, nu, CRITICAL_RE)
+    even, odd = shifted.even_odd_split()
+    sign = (-1) ** (m * (m - 1) // 2)
+    q = char_poly(_multiplication_matrix(-even, odd)) * (sign * odd.leading ** m)
+    r = -shifted(F(0))
+    return HurwitzData(m=m, nu=nu, shifted_base=shifted,
+                       det_in_c=RationalPolynomial((-r, 1)) * q,
+                       linear_root=r, q_factor=q)
+
+
+class TestIntegerOrlando:
+    """The integer construction of hurwitz_assemble against Orlando's
+    formula evaluated in Fractions."""
+
+    def test_sixth_order_family(self):
+        for nu in range(2, 150):
+            assert hurwitz_assemble(3, nu, 0) == _fraction_orlando(3, nu)
+
+    def test_island_family(self):
+        for l in range(101):
+            assert hurwitz_assemble(5, 20, l) == _fraction_orlando(5, 20 + 2 * l)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(2, 60), st.integers(0, 30))
+    def test_random_sectors(self, m, n, l):
+        assert hurwitz_assemble(m, n, l) == _fraction_orlando(m, n + 2 * l)
+
+    def test_probe_runs_on_every_call(self, monkeypatch):
+        sizes = []
+
+        def spy(rows):
+            sizes.append(len(rows))
+            return det(rows)
+
+        det = stability.bareiss_det
+        monkeypatch.setattr(stability, "bareiss_det", spy)
+        for m, n, l in ((1, 4, 0), (2, 5, 0), (3, 7, 1), (5, 20, 0), (8, 30, 2)):
+            hurwitz_assemble(m, n, l)
+        assert sizes == [2, 4, 6, 10, 16]
 
 
 class TestAxisRoots:
