@@ -301,15 +301,9 @@ def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
 
 
 def gamma_threshold(m: int, n: int, l: int) -> Value:
-    """Largest finite boundary point of the radial ESA region."""
-    region = esa_region_radial(m, n, l)
-    finite = []
-    for p in region.pieces:
-        finite.append(p.lo)
-        if p.hi is not POS_INF:
-            finite.append(p.hi)
-    finite.sort(key=functools.cmp_to_key(value_cmp))
-    return finite[-1]
+    """Largest finite boundary point of the radial ESA region: the +inf cell
+    is ESA, so the last piece is [lo, inf) and its lo is that point."""
+    return esa_region_radial(m, n, l).pieces[-1].lo
 
 
 # -- intersections and full-operator regions ----------------------------------------

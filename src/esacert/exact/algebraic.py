@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .poly import (RationalPolynomial, as_fraction, count_real_roots,
                    isolate_real_roots, poly_gcd, primitive_part,
-                   rational_roots, refine_isolating_interval,
-                   square_free_decomposition, square_free_part)
+                   rational_roots, real_root_factors,
+                   refine_isolating_interval, square_free_part)
 
 
 def sqrt_bounds(q: Fraction, max_width: Fraction) -> tuple:
@@ -41,6 +41,16 @@ def sqrt_bounds(q: Fraction, max_width: Fraction) -> tuple:
     if lo * lo > q:
         lo = Fraction(r - 1, 1 << shift)
     return lo, hi
+
+
+def rational_sqrt(q: Fraction):
+    """The rational square root of q >= 0, or None if q is not a square."""
+    if q < 0:
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
 
 
 class AlgebraicReal:
@@ -261,22 +271,25 @@ def exact_real_roots(p: RationalPolynomial) -> list:
     """Distinct real roots of p, sorted; Fraction for the rational ones,
     AlgebraicReal (never rational) for the others.
 
-    The isolating intervals of the result (a point for a Fraction) are
-    strictly increasing and pairwise disjoint.  The comparison sort compares
-    every pair that ends up adjacent, and `value_compare` returns only once
-    the two intervals (or the point and the interval) are strictly apart;
+    Per factor of `real_root_factors`, the rational roots are split off on
+    its isolating intervals.  A factor that had some is re-isolated once
+    they are divided out; one that had none keeps its intervals.  The
+    isolating intervals of the result (a point for a Fraction) are strictly
+    increasing and pairwise disjoint.  The comparison sort compares every
+    pair that ends up adjacent, and `value_compare` returns only once the
+    two intervals (or the point and the interval) are strictly apart;
     intervals only shrink afterwards.
     """
     import functools as _ft
 
     out = []
-    for f, _mult in square_free_decomposition(p):
+    for f, _mult, intervals in real_root_factors(p):
         g = f
-        for r in rational_roots(f):
+        for r in rational_roots(f, intervals):
             g = g.divide_exact(RationalPolynomial((-r, 1)))
             out.append(r)
-        if g.degree > 0:
-            out.extend(AlgebraicReal(g, lo, hi, validate=False)
-                       for lo, hi in isolate_real_roots(g))
+        if g.degree < f.degree:
+            intervals = isolate_real_roots(g)
+        out.extend(AlgebraicReal(g, lo, hi, validate=False) for lo, hi in intervals)
     out.sort(key=_ft.cmp_to_key(value_compare))
     return out

@@ -5,11 +5,11 @@ order (index = power).  Everything in this module is exact; no floating
 point enters any code path.  Provided machinery:
 
 * ring arithmetic, Taylor shift ``p(z + a)``, even/odd splitting,
-* exact Euclidean division, gcd with primitive-part normalization,
-  Yun square-free decomposition,
-* Sturm chains and signed remainder sequences (primitive,
-  sign-preserving), Cauchy indices, real-root counting, isolation into
-  disjoint rational intervals, bisection refinement,
+* exact Euclidean division; one signed remainder sequence per polynomial
+  pair (primitive, sign-preserving; the only remainder loop) gives its gcd
+  and Cauchy index, and for (p, p') the Sturm chain; Yun square-free
+  decomposition; `real_root_factors`, the one place that isolates real
+  roots into disjoint rational intervals; counting, bisection refinement,
 * resultants and discriminants via integer Sylvester determinants
   (fraction-free Bareiss after clearing each polynomial's denominators),
   characteristic polynomials (Berkowitz, over the integers or Q),
@@ -327,18 +327,11 @@ def _sign_at(int_coeffs: list, num: int, den: int) -> int:
 
 
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd; gcd(p, 0) = monic(p)."""
+    """Monic gcd, the last entry of the signed remainder sequence of (a, b);
+    gcd(p, 0) = monic(p)."""
     if a.is_zero:
         return b.monic()
-    if b.is_zero:
-        return a.monic()
-    x, y = primitive_part(a), primitive_part(b)
-    while not y.is_zero:
-        r = x % y
-        if r.is_zero:
-            return y.monic()
-        x, y = y, primitive_part(r)
-    return x.monic()
+    return RationalPolynomial(_signed_remainder_chain(a, b)[-1]).monic()
 
 
 def square_free_part(p: RationalPolynomial) -> RationalPolynomial:
@@ -349,31 +342,20 @@ def square_free_part(p: RationalPolynomial) -> RationalPolynomial:
     return p.divide_exact(g).monic()
 
 
-def square_free_decomposition(p: RationalPolynomial, chains=None) -> list:
-    """Yun's algorithm.  Returns [(f_i, i)] with p = lc * prod f_i^i,
-    the f_i monic, square-free and pairwise coprime.
-
-    If `chains` is a list, gcd(p, p') is read off the Sturm chain of the
-    monic p, and `chains` receives per returned factor its Sturm chain
-    (for a square-free p, that chain) or None, for reuse in isolation.
-    """
+def _decompose(p: RationalPolynomial) -> tuple:
+    """(`square_free_decomposition(p)`, the Sturm chain of the monic p if p
+    is square-free, else None)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
-        return []
+        return [], None
     q = p.monic()
-    dq = q.derivative()
-    if chains is None:
-        g = poly_gcd(q, dq)
-    else:
-        chain = sturm_chain(q)   # its last entry is a gcd of q and q'
-        g = RationalPolynomial(chain[-1]).monic()
+    chain = sturm_chain(q)   # its last entry is a gcd of q and q'
+    g = RationalPolynomial(chain[-1]).monic()
     if g.degree == 0:
-        if chains is not None:
-            chains.append(chain)
-        return [(q, 1)]
+        return [(q, 1)], chain
     w = q.divide_exact(g)
-    y = dq.divide_exact(g)
+    y = q.derivative().divide_exact(g)
     z = y - w.derivative()
     out = []
     i = 1
@@ -392,9 +374,14 @@ def square_free_decomposition(p: RationalPolynomial, chains=None) -> list:
         check = check * f ** m
     if check != q:
         raise AssertionError("square-free decomposition failed to reconstruct input")
-    if chains is not None:
-        chains.extend([None] * len(out))
-    return out
+    return out, None
+
+
+def square_free_decomposition(p: RationalPolynomial) -> list:
+    """Yun's algorithm.  Returns [(f_i, i)] with p = lc * prod f_i^i, the
+    f_i monic, square-free and pairwise coprime; gcd(p, p') is read off the
+    Sturm chain of the monic p."""
+    return _decompose(p)[0]
 
 
 # -- Sturm machinery -----------------------------------------------------------
@@ -452,10 +439,11 @@ def _chain_variations_at_inf(chain: list, positive: bool) -> int:
 
 def count_real_roots(p: RationalPolynomial, lo=None, hi=None) -> int:
     """Number of distinct real roots of p in (lo, hi] (whole line if omitted)."""
-    sf = square_free_part(p)
-    if sf.degree <= 0:
+    if p.degree <= 0:
         return 0
-    chain = sturm_chain(sf)
+    chain = sturm_chain(p)
+    if len(chain[-1]) > 1:   # p is not square-free: count on p / gcd(p, p')
+        chain = sturm_chain(p.divide_exact(RationalPolynomial(chain[-1])))
     vlo = _chain_variations_at(chain, as_fraction(lo)) if lo is not None \
         else _chain_variations_at_inf(chain, positive=False)
     vhi = _chain_variations_at(chain, as_fraction(hi)) if hi is not None \
@@ -463,20 +451,26 @@ def count_real_roots(p: RationalPolynomial, lo=None, hi=None) -> int:
     return vlo - vhi
 
 
-def cauchy_index(a: RationalPolynomial, b: RationalPolynomial) -> int:
-    """Cauchy index of b/a over the whole real line, exactly.
+def gcd_and_cauchy_index(a: RationalPolynomial, b: RationalPolynomial) -> tuple:
+    """(monic gcd(a, b), Ind(b/a)) from one signed remainder sequence of (a, b).
 
-    The number of real poles where b/a (in lowest terms) jumps from -inf to
-    +inf minus the number where it jumps from +inf to -inf.  Equals
-    V(-inf) - V(+inf) on the signed remainder sequence of (a, b) (Sturm's
-    theorem generalised; Basu-Pollack-Roy, Thm 2.58); Ind(p'/p) is the
-    number of distinct real roots of p.  Ind(0/a) = 0.
+    Ind(b/a), the Cauchy index over the whole real line, is the number of
+    real poles where b/a (in lowest terms) jumps from -inf to +inf minus the
+    number where it jumps from +inf to -inf: V(-inf) - V(+inf) on the
+    sequence (Basu-Pollack-Roy, Thm 2.58).  Ind(p'/p) is the number of
+    distinct real roots of p; Ind(0/a) = 0.  The gcd is the last entry.
     """
     if a.is_zero:
         raise ValueError("Cauchy index of b/0 is undefined")
     chain = _signed_remainder_chain(a, b)
-    return (_chain_variations_at_inf(chain, positive=False)
+    return (RationalPolynomial(chain[-1]).monic(),
+            _chain_variations_at_inf(chain, positive=False)
             - _chain_variations_at_inf(chain, positive=True))
+
+
+def cauchy_index(a: RationalPolynomial, b: RationalPolynomial) -> int:
+    """Ind(b/a) over the whole real line, exactly; see `gcd_and_cauchy_index`."""
+    return gcd_and_cauchy_index(a, b)[1]
 
 
 def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
@@ -570,19 +564,27 @@ def refine_isolating_interval(p: RationalPolynomial, lo: Fraction, hi: Fraction,
     return lo, hi
 
 
+def real_root_factors(p: RationalPolynomial) -> list:
+    """[(f, multiplicity, isolating intervals of f)] over the square-free
+    decomposition of p, the intervals as from `isolate_real_roots(f)`.
+
+    The one place that decides how real roots are isolated: for a
+    square-free p, the Sturm chain that shows it square-free also isolates
+    its roots, so the sequence of (p, p') is built once.
+    """
+    factors, chain = _decompose(p)
+    return [(f, mult, isolate_real_roots(f, chain)) for f, mult in factors]
+
+
 def sturm_isolate(p: RationalPolynomial) -> list:
     """Disjoint isolating intervals for all real roots of p, with multiplicity.
 
-    Returns a sorted list of ((lo, hi), multiplicity).  Multiplicities come
-    from an exact square-free decomposition; intervals from different
+    Returns a sorted list of ((lo, hi), multiplicity).  Multiplicities and
+    intervals come from `real_root_factors`; intervals from different
     square-free factors are refined until pairwise disjoint.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no isolated roots")
-    items = []  # [lo, hi, mult, factor]
-    for f, m in square_free_decomposition(p):
-        for lo, hi in isolate_real_roots(f):
-            items.append([lo, hi, m, f])
+    items = [[lo, hi, m, f] for f, m, intervals in real_root_factors(p)
+             for lo, hi in intervals]   # [lo, hi, mult, factor]
 
     def disjoint(a, b) -> bool:
         # intervals are closed; distinct exact roots never collide

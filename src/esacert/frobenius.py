@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .exact import RationalPolynomial, as_fraction
+from .exact import RationalPolynomial, as_fraction, rational_sqrt
 from .indicial import EulerParams, euler_quartic, quartic_roots_closed_form
 from .roots import START_BITS
 
@@ -88,21 +88,10 @@ def parabola_pivot(k: int) -> Fraction:
     return Fraction(5, 4) - 8 * k * k
 
 
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _square_indices(a: Fraction, b: Fraction, c: Fraction) -> list:
     """Integers k >= 0 with a*k^4 + b*k^2 + c = 0, found exactly."""
     disc = b * b - 4 * a * c
-    s = _rational_sqrt(disc)
+    s = rational_sqrt(disc)
     if s is None:
         return []
     out = set()

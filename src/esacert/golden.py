@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import AlgebraicReal, RationalPolynomial, isolate_real_roots
+from .exact import RationalPolynomial, exact_real_roots
 
 # Radial thresholds of the fourth-order family at l = 0, for n = 2..12.
 GAMMA2_TABLE = {
@@ -114,9 +114,7 @@ def island_quartic() -> RationalPolynomial:
 
 def island_roots() -> tuple:
     """The two real roots (beta < gamma) of the island quartic, exactly."""
-    q = island_quartic()
-    intervals = isolate_real_roots(q)
-    if len(intervals) != 2:
+    roots = exact_real_roots(island_quartic())
+    if len(roots) != 2:
         raise AssertionError("island quartic must have exactly two real roots")
-    roots = [AlgebraicReal(q, lo, hi, validate=False) for lo, hi in intervals]
     return roots[0], roots[1]

@@ -5,13 +5,13 @@ as for every indicial polynomial (roots pair to 2m - 1) and every Euler
 quartic (pairs sum to 3), the exact steps run on G at half the degree;
 any other p takes them itself.
 
-1. exact square-free decomposition, then per square-free factor the
-   rational roots are split off exactly (by the rational root theorem on
-   Sturm isolating intervals; when the input is square-free, the Sturm
-   chain that shows it serves the isolation) and reported with radius
-   zero.  On G, a rational root y that is the square of a rational gives
-   the exact roots a +- sqrt(y) (y = 0 gives a, with twice the
-   multiplicity);
+1. `real_root_factors` gives the square-free factors with their Sturm
+   isolating intervals (when the input is square-free, the Sturm chain
+   that shows it serves the isolation); on those intervals the rational
+   roots of each factor are split off exactly (by the rational root
+   theorem) and reported with radius zero.  On G, a rational root y that
+   is the square of a rational gives the exact roots a +- sqrt(y) (y = 0
+   gives a, with twice the multiplicity);
 2. each remaining factor f is handed to an Aberth-Ehrlich simultaneous
    iteration from deterministic Newton-polygon initial points, run first in
    hardware floats and polished in mpmath at the working precision (from
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import (RationalPolynomial, as_fraction, isolate_real_roots,
-                    primitive_part, rational_roots, square_free_decomposition)
+from .exact import (RationalPolynomial, as_fraction, primitive_part,
+                    rational_roots, rational_sqrt, real_root_factors)
 
 START_BITS = 128   # first working precision of every numeric root computation
 MAX_BITS = 4096    # certified_roots gives up beyond this precision
@@ -304,27 +304,6 @@ def _even_about_centroid(p: RationalPolynomial):
     return None if not odd.is_zero else (a, even)
 
 
-def _rational_sqrt(y: Fraction):
-    """The rational square root of y >= 0, or None if y is not a square."""
-    if y < 0:
-        return None
-    num, den = math.isqrt(y.numerator), math.isqrt(y.denominator)
-    if num * num == y.numerator and den * den == y.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def _square_free_factors(p: RationalPolynomial) -> list:
-    """[(f, multiplicity, isolating intervals of f)] over the square-free
-    decomposition of p.  For a square-free p the Sturm chain that shows it
-    square-free also isolates the roots, so the remainder sequence of
-    (p, p') is built once."""
-    chains = []
-    factors = square_free_decomposition(p, chains)
-    return [(f, mult, isolate_real_roots(f, chain))
-            for (f, mult), chain in zip(factors, chains)]
-
-
 def _split(p: RationalPolynomial) -> tuple:
     """The exact roots [(value, multiplicity)] and the `_NumericFactor`s of p.
 
@@ -337,7 +316,7 @@ def _split(p: RationalPolynomial) -> tuple:
     half = _even_about_centroid(p)
     exact, numeric = [], []
     if half is None:
-        for f, mult, intervals in _square_free_factors(p):
+        for f, mult, intervals in real_root_factors(p):
             for r in rational_roots(f, intervals):
                 f = f.divide_exact(RationalPolynomial((-r, 1)))
                 exact.append((r, mult))
@@ -346,10 +325,10 @@ def _split(p: RationalPolynomial) -> tuple:
                 numeric.append(_NumericFactor(f, mult, *(_even_about_centroid(f) or ())))
         return exact, numeric
     a, big_g = half
-    for g, mult, intervals in _square_free_factors(big_g):
+    for g, mult, intervals in real_root_factors(big_g):
         real = len(intervals)
         for y in rational_roots(g, intervals):
-            s = _rational_sqrt(y)
+            s = rational_sqrt(y)
             if s is None:
                 continue
             g = g.divide_exact(RationalPolynomial((-y, 1)))

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from .exact import (AlgebraicReal, RationalPolynomial, bareiss_det,
-                    cauchy_index, char_poly, count_real_roots, discriminant,
-                    exact_real_roots, poly_gcd, square_free_decomposition,
-                    sturm_isolate)
+                    char_poly, count_real_roots, discriminant,
+                    exact_real_roots, gcd_and_cauchy_index, poly_gcd,
+                    real_root_factors, square_free_decomposition)
 from .indicial import euler_quartic, indicial_product, indicial_scale
 
 CRITICAL_RE = Fraction(-1, 2)
@@ -229,16 +229,17 @@ def _count_square_free(f: RationalPolynomial) -> tuple:
     split by the argument principle along the line: left - right is
     -Ind(Q/P) when deg P >= deg Q (f of even degree) and +Ind(P/Q) when
     deg Q > deg P (odd degree).  P or Q may vanish identically; the index
-    of 0 over the other part is 0.
+    of 0 over the other part is 0.  g and the index come from one signed
+    remainder sequence.
     """
     P, Q = critical_line_parts(f)
-    g = poly_gcd(P, Q)
+    if P.degree >= Q.degree:
+        g, index = gcd_and_cauchy_index(P, Q)
+        diff = -index
+    else:
+        g, diff = gcd_and_cauchy_index(Q, P)
     axis = count_real_roots(g)
     pairs, odd_pairs = divmod(g.degree - axis, 2)
-    if P.degree >= Q.degree:
-        diff = -cauchy_index(P, Q)
-    else:
-        diff = cauchy_index(Q, P)
     rest = f.degree - g.degree
     if odd_pairs or (rest - diff) % 2 or abs(diff) > rest:
         raise AssertionError("Cauchy index inconsistent with the degree")
@@ -306,7 +307,7 @@ def quartic_classify(q: RationalPolynomial) -> QuarticInvariants:
     elif disc > 0 and (pi >= 0 or lam >= 0):
         cls = QuarticRootClass.NO_REAL_ROOTS
     else:
-        with_mult = sum(m for _iv, m in sturm_isolate(q))
+        with_mult = sum(m * len(ivs) for _f, m, ivs in real_root_factors(q))
         cls = {0: QuarticRootClass.NO_REAL_ROOTS,
                2: QuarticRootClass.TWO_REAL_TWO_IMAGINARY,
                4: QuarticRootClass.FOUR_REAL}.get(with_mult, QuarticRootClass.OTHER)

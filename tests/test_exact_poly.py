@@ -14,7 +14,8 @@ from esacert.exact import (RationalPolynomial, bareiss_det, cauchy_index,
                            refine_isolating_interval, resultant,
                            simplest_between, square_free_decomposition,
                            square_free_part, sturm_isolate)
-from esacert.exact.poly import sturm_chain
+from esacert.exact import poly
+from esacert.exact.poly import real_root_factors, sturm_chain
 from conftest import rand_fraction, rand_poly
 
 Z = RationalPolynomial.variable()
@@ -111,20 +112,27 @@ class TestGcdAndSquareFree:
         assert by_mult[2](F(1)) == 0
         assert by_mult[1](F(-3)) == 0
 
-    def test_chains_leave_the_decomposition_unchanged(self, rng):
-        # the Sturm chain stands in for gcd(p, p') only when it is asked for
+    def test_real_root_factors_isolate_the_decomposition(self, rng, monkeypatch):
         for _ in range(25):
             p = RationalPolynomial.one()
             for mult in range(1, rng.randint(2, 4)):
                 p = p * rand_poly(rng, rng.randint(1, 3)) ** mult
-            chains = []
-            dec = square_free_decomposition(p, chains)
-            assert dec == square_free_decomposition(p)
-            assert len(chains) == len(dec)
-            if dec == [(p.monic(), 1)]:
-                assert chains == [sturm_chain(p.monic())]
-            else:
-                assert chains == [None] * len(dec)
+            factors = real_root_factors(p)
+            assert [(f, m) for f, m, _ivs in factors] == square_free_decomposition(p)
+            for f, _m, intervals in factors:
+                assert intervals == isolate_real_roots(f)
+        # a square-free p: the chain that shows it square-free also isolates
+        runs = []
+
+        def spy(q):
+            runs.append(q)
+            return sturm_chain(q)
+
+        monkeypatch.setattr(poly, "sturm_chain", spy)
+        p = (Z - 1) * (Z * Z - 2) * (3 * Z + 5)
+        [(f, m, intervals)] = real_root_factors(p)
+        assert (f, m, len(intervals)) == (p.monic(), 1, 4)
+        assert runs == [p.monic()]
 
     def test_square_free_part(self):
         p = (Z - 2) ** 3 * (Z ** 2 + 1)

@@ -366,7 +366,7 @@ class TestHalfDegreeSplit:
 
     def test_exact_steps_run_at_half_degree(self, monkeypatch):
         degrees = []
-        for name in ("square_free_decomposition", "rational_roots"):
+        for name in ("real_root_factors", "rational_roots"):
             fn = getattr(roots, name)
 
             def spy(q, *args, fn=fn):
