@@ -285,13 +285,10 @@ def cmd_basis(args, cfg: EngineConfig, echo) -> int:
             print(f"  on parabola k={mem.k} ({mem.branch.value} branch), "
                   f"exponent relations {mem.relations}")
         print(f"  case: {sel.case_tag.value}")
-        if sel.solutions is None:
-            print(f"  {sel.note}")
-        else:
-            for i, s in enumerate(sel.solutions, start=1):
-                arg = "-z" if s.argument_negated else "z"
-                print(f"  y{i}: {s.kind.value} exponent={s.exponent:.6g} "
-                      f"arg={arg} params={[format(p, '.6g') for p in s.parameters]}")
+        for i, s in enumerate(sel.solutions, start=1):
+            arg = "-z" if s.argument_negated else "z"
+            print(f"  y{i}: {s.kind.value} exponent={s.exponent:.6g} "
+                  f"arg={arg} params={[format(p, '.6g') for p in s.parameters]}")
     return EXIT_OK
 
 

@@ -62,7 +62,11 @@ class AlgebraicReal:
         lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
             raise ValueError("empty isolating interval")
-        defining = primitive_part(square_free_part(defining))
+        # unvalidated input is square-free by contract (`exact_real_roots`,
+        # pickles); .monic() makes the leading coefficient positive, as
+        # square_free_part does
+        defining = primitive_part(square_free_part(defining) if validate
+                                  else defining.monic())
         if validate:
             if lo == hi:
                 if defining(lo) != 0:

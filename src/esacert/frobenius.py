@@ -25,12 +25,16 @@ squares.  No tolerance is involved; irrational inputs are rejected.
 The curve families satisfy exact incidence identities (every L_k is tangent
 to P_0, every P_k to L_0, and pairwise intersections have closed-form c1
 values); `resonance_geometry_table` verifies them all in rational
-arithmetic.
+arithmetic.  One of them shapes the case analysis: P_h and P_k (h != k)
+meet only at c1 = 5/4 - 4h^2 - 4k^2, and that point lies on L_|h-k| and on
+L_(h+k), so no point lies on two parabolas without lying on a line.
 
 In resonant cases the broken series solutions are replaced by Meijer
-G-function solutions G^{2,0}/G^{3,0}/G^{4,0} of order 0,4.  This module
-only emits structural descriptors (kind, exponent, parameter order,
-argument sign); numeric evaluation of the G-functions is out of scope.
+G-function solutions G^{2,0}/G^{3,0}/G^{4,0} of order 0,4, read off the
+exact exponent relations of the memberships (`select_fundamental_system`).
+This module only emits structural descriptors (kind, exponent, parameter
+order, argument sign); numeric evaluation of the G-functions is out of
+scope.
 """
 
 from __future__ import annotations
@@ -68,16 +72,28 @@ def _mpc_of(x):
 # -- locus equations -------------------------------------------------------------
 
 
+def _line_poly(k: int) -> RationalPolynomial:
+    """c2 on L_k as a degree-1 polynomial in c1."""
+    kk = k * k
+    return RationalPolynomial((Fraction(-9 + 160 * kk - 256 * kk * kk, 16),
+                               Fraction(-24 - 128 * kk, 16)))
+
+
+def _parabola_poly(k: int) -> RationalPolynomial:
+    """c2 on P_k as a degree-2 polynomial in c1."""
+    kk = k * k
+    return RationalPolynomial((Fraction(1 - 20 * kk + 64 * kk * kk),
+                               Fraction(-4 + 16 * kk), Fraction(1)))
+
+
 def line_c2(c1: Fraction, k: int) -> Fraction:
     """c2 with (c1, c2) on the line L_k."""
-    c1 = as_fraction(c1)
-    return Fraction(-9 - 24 * c1 - 128 * c1 * k * k + 160 * k * k - 256 * k ** 4, 16)
+    return _line_poly(k)(as_fraction(c1))
 
 
 def parabola_c2(c1: Fraction, k: int) -> Fraction:
     """c2 with (c1, c2) on the parabola P_k."""
-    c1 = as_fraction(c1)
-    return 1 - 4 * c1 + c1 * c1 + 16 * c1 * k * k - 20 * k * k + 64 * k ** 4
+    return _parabola_poly(k)(as_fraction(c1))
 
 
 def line_pivot(k: int) -> Fraction:
@@ -139,26 +155,18 @@ class ResonanceClassification:
                 "generic": self.generic}
 
 
-def _line_membership(c1: Fraction, k: int) -> LocusMembership:
-    pivot = line_pivot(k)
-    if c1 < pivot:
-        return LocusMembership("line", k, Branch.LOWER, ((2, 3),))
-    if c1 > pivot:
-        return LocusMembership("line", k, Branch.UPPER, ((1, 4),))
-    return LocusMembership("line", k, Branch.PIVOT, ((1, 4),))
-
-
-def _parabola_membership(c1: Fraction, k: int) -> LocusMembership:
-    pivot = parabola_pivot(k)
-    # k = 0 collapses the inner radicand, so the coincidences are a1 = a2 and
-    # a3 = a4 on both sides of the pivot
-    if c1 < pivot or k == 0:
-        branch = (Branch.LOWER if c1 < pivot
-                  else (Branch.UPPER if c1 > pivot else Branch.PIVOT))
-        return LocusMembership("parabola", k, branch, ((1, 2), (3, 4)))
-    if c1 > pivot:
-        return LocusMembership("parabola", k, Branch.UPPER, ((1, 3), (2, 4)))
-    return LocusMembership("parabola", k, Branch.PIVOT, ((1, 3), (2, 4)))
+def _membership(kind: str, c1: Fraction, k: int) -> LocusMembership:
+    pivot = line_pivot(k) if kind == "line" else parabola_pivot(k)
+    branch = (Branch.LOWER if c1 < pivot
+              else (Branch.UPPER if c1 > pivot else Branch.PIVOT))
+    lower = branch is Branch.LOWER
+    if kind == "line":
+        relations = ((2, 3),) if lower else ((1, 4),)
+    else:
+        # k = 0 collapses the inner radicand, so the coincidences are a1 = a2
+        # and a3 = a4 on both sides of the pivot
+        relations = ((1, 2), (3, 4)) if lower or k == 0 else ((1, 3), (2, 4))
+    return LocusMembership(kind, k, branch, relations)
 
 
 def classify_resonance(c1, c2, k_max: Optional[int] = None) -> ResonanceClassification:
@@ -180,8 +188,8 @@ def classify_resonance(c1, c2, k_max: Optional[int] = None) -> ResonanceClassifi
     params = EulerParams(c1=c1, c2=c2)
     return ResonanceClassification(
         params=params,
-        lines=tuple(_line_membership(c1, k) for k in line_ks),
-        parabolas=tuple(_parabola_membership(c1, k) for k in par_ks))
+        lines=tuple(_membership("line", c1, k) for k in line_ks),
+        parabolas=tuple(_membership("parabola", c1, k) for k in par_ks))
 
 
 # -- fundamental systems ------------------------------------------------------------
@@ -202,7 +210,6 @@ class CaseTag(Enum):
     ONE_PARABOLA_LOWER = "one-parabola-lower"
     TWO_LINES = "two-lines"
     LINE_AND_PARABOLA = "line-and-parabola"
-    TWO_PARABOLAS = "two-parabolas-uncovered"
 
 
 @dataclass(frozen=True)
@@ -225,16 +232,14 @@ class SolutionDescriptor:
 class BasisSelection:
     case_tag: CaseTag
     classification: ResonanceClassification
-    solutions: Optional[tuple]    # four descriptors; None for the uncovered tag
-    note: str = ""
+    solutions: tuple              # four descriptors
 
     def to_json(self) -> dict:
         return {
             "case": self.case_tag.value,
             "classification": self.classification.to_json(),
-            "solutions": None if self.solutions is None
-            else [s.to_json() for s in self.solutions],
-            "note": self.note,
+            "solutions": [s.to_json() for s in self.solutions],
+            "note": "",   # every case has descriptors; kept for stable payloads
         }
 
 
@@ -257,18 +262,20 @@ def _g_descriptor(kind: SolutionKind, alphas: Sequence, order: Sequence,
 def select_fundamental_system(c1, c2) -> BasisSelection:
     """Fundamental-system descriptors for the eigenvalue equation at (c1, c2).
 
-    The case analysis follows the resonance classification; G-function
-    parameter orderings are fixed structural data per case.  The spectral
-    parameter lambda only scales the common argument and does not influence
-    the selection, so it is not a parameter.
+    One rule reads the display off the exact exponent relations of the
+    memberships: a relation (i, j), a_i - a_j = -4k, puts a G20 at position
+    i with parameters a_i, a_j and then the other two exponents in
+    ascending index order; every other position keeps its 0F3 series.  Only
+    a point on both a line and a parabola takes the written-out chain
+    G40, G30 (negated argument), G20, 0F3.  A point on two parabolas also
+    lies on a line, and every pivot lies on P_0 or L_0, so one membership
+    alone is never at its pivot.  The spectral parameter lambda only scales
+    the common argument and does not influence the selection, so it is not
+    a parameter.
     """
     cls = classify_resonance(c1, c2)
-    a = quartic_roots_closed_form(EulerParams(c1=as_fraction(c1), c2=as_fraction(c2)))
-    nl, np_ = len(cls.lines), len(cls.parabolas)
-    if nl == 0 and np_ == 0:
-        sols = tuple(_series_descriptor(a, i) for i in range(4))
-        return BasisSelection(CaseTag.GENERIC, cls, sols)
-    if nl >= 1 and np_ >= 1:
+    a = quartic_roots_closed_form(cls.params)
+    if cls.lines and cls.parabolas:
         sols = (
             _g_descriptor(SolutionKind.MEIJER_G40, a, (1, 2, 3, 4)),
             _g_descriptor(SolutionKind.MEIJER_G30, a, (2, 3, 4, 1), negated=True),
@@ -276,54 +283,26 @@ def select_fundamental_system(c1, c2) -> BasisSelection:
             _series_descriptor(a, 3),
         )
         return BasisSelection(CaseTag.LINE_AND_PARABOLA, cls, sols)
-    if nl == 1 and np_ == 0:
-        mem = cls.lines[0]
-        if mem.branch is Branch.UPPER:
-            sols = (
-                _g_descriptor(SolutionKind.MEIJER_G20, a, (1, 4, 2, 3)),
-                _series_descriptor(a, 1),
-                _series_descriptor(a, 2),
-                _series_descriptor(a, 3),
-            )
-            return BasisSelection(CaseTag.ONE_LINE_UPPER, cls, sols)
-        sols = (
-            _series_descriptor(a, 0),
-            _g_descriptor(SolutionKind.MEIJER_G20, a, (2, 3, 1, 4)),
-            _series_descriptor(a, 2),
-            _series_descriptor(a, 3),
-        )
-        return BasisSelection(CaseTag.ONE_LINE_LOWER, cls, sols)
-    if nl == 0 and np_ == 1:
-        mem = cls.parabolas[0]
-        if mem.branch is Branch.UPPER:
-            sols = (
-                _g_descriptor(SolutionKind.MEIJER_G20, a, (1, 3, 2, 4)),
-                _g_descriptor(SolutionKind.MEIJER_G20, a, (2, 4, 1, 3)),
-                _series_descriptor(a, 2),
-                _series_descriptor(a, 3),
-            )
-            return BasisSelection(CaseTag.ONE_PARABOLA_UPPER, cls, sols)
-        sols = (
-            _g_descriptor(SolutionKind.MEIJER_G20, a, (1, 2, 3, 4)),
-            _series_descriptor(a, 1),
-            _g_descriptor(SolutionKind.MEIJER_G20, a, (3, 4, 1, 2)),
-            _series_descriptor(a, 3),
-        )
-        return BasisSelection(CaseTag.ONE_PARABOLA_LOWER, cls, sols)
-    if nl == 2 and np_ == 0:
-        sols = (
-            _g_descriptor(SolutionKind.MEIJER_G20, a, (1, 4, 2, 3)),
-            _g_descriptor(SolutionKind.MEIJER_G20, a, (2, 3, 1, 4)),
-            _series_descriptor(a, 2),
-            _series_descriptor(a, 3),
-        )
-        return BasisSelection(CaseTag.TWO_LINES, cls, sols)
-    if nl == 0 and np_ == 2:
-        return BasisSelection(
-            CaseTag.TWO_PARABOLAS, cls, None,
-            note="membership pattern (two parabolas, no line) has no published "
-                 "fundamental-system display; descriptors withheld")
-    raise AssertionError(f"impossible membership pattern: {nl} lines, {np_} parabolas")
+    mems = cls.lines + cls.parabolas
+    if not mems:
+        tag = CaseTag.GENERIC
+    elif len(cls.lines) == 2:
+        tag = CaseTag.TWO_LINES
+    elif len(mems) == 1 and mems[0].branch is not Branch.PIVOT:
+        tag = CaseTag(f"one-{mems[0].kind}-{mems[0].branch.value}")
+    else:
+        raise AssertionError(f"impossible membership pattern: {len(cls.lines)} "
+                             f"lines, {len(cls.parabolas)} parabolas")
+    partner = dict(rel for mem in mems for rel in mem.relations)
+    sols = []
+    for i in range(1, 5):
+        if i in partner:
+            rest = tuple(n for n in range(1, 5) if n not in (i, partner[i]))
+            sols.append(_g_descriptor(SolutionKind.MEIJER_G20, a,
+                                      (i, partner[i]) + rest))
+        else:
+            sols.append(_series_descriptor(a, i - 1))
+    return BasisSelection(tag, cls, tuple(sols))
 
 
 # -- series evaluation and residuals -----------------------------------------------
@@ -340,36 +319,48 @@ def _check_parameters(params: Sequence, tol: float = 1e-9):
                     "use select_fundamental_system for a valid basis")
 
 
-def eval_0F3(p1, p2, p3, z, tol: float = 1e-20, max_terms: int = 10 ** 6):
-    """Truncated hypergeometric series sum z^k / ((p1)_k (p2)_k (p3)_k k!).
+def _0F3_terms(p1, p2, p3, z, tol: float, max_terms: int = 10 ** 6):
+    """The terms t_0 = 1, t_1, ..., t_K of sum z^k / ((p1)_k (p2)_k (p3)_k k!),
+    with t_(k+1) = t_k z / ((p1 + k)(p2 + k)(p3 + k)(k + 1)), at the working
+    precision.
 
-    Stops once a geometric ratio bound certifies the dropped tail is at most
-    tol in absolute value; raises if the term budget is exhausted first.
-    Nonpositive-integer parameters are rejected (the series degenerates).
+    Ends at the first t_K with |t_K| < tol after which a geometric ratio
+    bound certifies the dropped tail to be at most tol in absolute value;
+    raises if the term budget is exhausted first.  Nonpositive-integer
+    parameters are rejected (the series degenerates).
     """
     _check_parameters((p1, p2, p3))
+    # |p + k| grows monotonically once k exceeds -Re p, making the term
+    # ratio decreasing and the geometric tail bound valid
+    k_safe = max(8, 2 + math.ceil(max(0.0, -min(p.real for p in (p1, p2, p3)))))
+    term = mp.mpc(1)
+    yield term
+    k = 0
+    while k < max_terms:
+        denom = (p1 + k) * (p2 + k) * (p3 + k) * (k + 1)
+        if denom == 0:
+            raise ResonanceError("series recurrence hit a zero denominator")
+        term = term * z / denom
+        yield term
+        k += 1
+        if k < k_safe:
+            continue
+        ratio = abs(z) / abs((p1 + k) * (p2 + k) * (p3 + k) * (k + 1))
+        if ratio < 0.5 and abs(term) * ratio / (1 - ratio) < tol and abs(term) < tol:
+            return
+    raise ResonanceError(f"series did not certify its tail within {max_terms} terms")
+
+
+def eval_0F3(p1, p2, p3, z, tol: float = 1e-20, max_terms: int = 10 ** 6):
+    """Truncated hypergeometric series sum z^k / ((p1)_k (p2)_k (p3)_k k!),
+    with the dropped tail certified to be at most tol (see `_0F3_terms`)."""
     prec = max(96, int(-math.log2(tol)) + 64)
     with mp.workprec(prec):
-        p1, p2, p3, z = _mpc_of(p1), _mpc_of(p2), _mpc_of(p3), _mpc_of(z)
-        # |p + k| grows monotonically once k exceeds -Re p, making the term
-        # ratio decreasing and the geometric tail bound valid
-        k_safe = max(8, 2 + math.ceil(max(0.0, -min(p.real for p in (p1, p2, p3)))))
-        total = mp.mpc(1)
-        term = mp.mpc(1)
-        k = 0
-        while k < max_terms:
-            denom = (p1 + k) * (p2 + k) * (p3 + k) * (k + 1)
-            if denom == 0:
-                raise ResonanceError("series recurrence hit a zero denominator")
-            term = term * z / denom
+        total = mp.mpc(0)
+        for term in _0F3_terms(_mpc_of(p1), _mpc_of(p2), _mpc_of(p3), _mpc_of(z),
+                               tol, max_terms):
             total += term
-            k += 1
-            if k < k_safe:
-                continue
-            ratio = abs(z) / abs((p1 + k) * (p2 + k) * (p3 + k) * (k + 1))
-            if ratio < 0.5 and abs(term) * ratio / (1 - ratio) < tol and abs(term) < tol:
-                return total
-        raise ResonanceError(f"series did not certify its tail within {max_terms} terms")
+        return total
 
 
 def ode_defect(sel: BasisSelection, index: int, c1, c2, lam, r,
@@ -378,17 +369,18 @@ def ode_defect(sel: BasisSelection, index: int, c1, c2, lam, r,
 
     The truncated series is differentiated term by term: the operator maps
     the monomial r^s to E(c1, c2; s) r^(s-4) exactly, where E is the
-    indicial quartic, so no finite differences enter.  G-function members
-    are rejected (no numeric evaluator in scope).
+    indicial quartic, so no finite differences enter.  The series is cut
+    where `eval_0F3` cuts it, after a term t_K with |t_K| < tol.  Since
+    E(alpha + 4k) t_k = lambda r^4 t_(k-1), the defect of the cut series
+    telescopes to -lambda r^alpha t_K, so it is at most
+    |lambda| r^(Re alpha) tol up to rounding.  G-function members are
+    rejected (no numeric evaluator in scope).
     """
-    if sel.solutions is None:
-        raise ResonanceError("the selected case carries no descriptors")
     desc = sel.solutions[index - 1]
     if desc.kind is not SolutionKind.SERIES_F03:
         raise ResonanceError("residual evaluation supports series members only")
     if not float(r) > 0:
         raise ValueError("need r > 0")
-    _check_parameters(desc.parameters)
     quartic = euler_quartic(c1, c2)
     prec = max(START_BITS, int(-math.log2(tol)) + 80)
     # re-derive the exponents at working precision; the descriptor stores
@@ -403,23 +395,12 @@ def ode_defect(sel: BasisSelection, index: int, c1, c2, lam, r,
                         key=lambda w: (float(w.real), float(w.imag)))
         ps = [1 + (alpha - w) / 4 for w in others]
         x = lam_mp * r_mp ** 4 / 256
-        k_safe = max(8, 2 + math.ceil(max(0.0, -min(float(p.real) for p in ps))))
-        # u_k x^k, with tau(r^(alpha+4k)) = E(alpha + 4k) r^(alpha+4k-4)
-        op_sum = mp.mpc(0)    # sum u_k x^k E(alpha+4k) r^(-4)
-        fn_sum = mp.mpc(0)    # sum u_k x^k
-        coeff = mp.mpc(1)
-        k = 0
-        while True:
-            s = alpha + 4 * k
-            op_sum += coeff * quartic.eval_mp(mp, s) / r_mp ** 4
-            fn_sum += coeff
-            nxt = coeff * x / ((ps[0] + k) * (ps[1] + k) * (ps[2] + k) * (k + 1))
-            k += 1
-            if k >= k_safe and abs(nxt) < tol:
-                break
-            if k > 10 ** 6:
-                raise ResonanceError("series truncation failed to converge")
-            coeff = nxt
+        # t_k = u_k x^k, with tau(r^(alpha+4k)) = E(alpha + 4k) r^(alpha+4k-4)
+        op_sum = mp.mpc(0)    # sum t_k E(alpha+4k) r^(-4)
+        fn_sum = mp.mpc(0)    # sum t_k
+        for k, term in enumerate(_0F3_terms(*ps, x, tol)):
+            op_sum += term * quartic.eval_mp(mp, alpha + 4 * k) / r_mp ** 4
+            fn_sum += term
         return r_mp ** mp.mpc(alpha) * (op_sum - lam_mp * fn_sum)
 
 
@@ -430,20 +411,6 @@ def ode_residual(sel: BasisSelection, index: int, c1, c2, lam, r,
 
 
 # -- exact incidence identities ------------------------------------------------------
-
-
-def _line_poly(k: int) -> RationalPolynomial:
-    """c2 on L_k as a degree-1 polynomial in c1."""
-    kk = k * k
-    return RationalPolynomial((Fraction(-9 + 160 * kk - 256 * kk * kk, 16),
-                               Fraction(-24 - 128 * kk, 16)))
-
-
-def _parabola_poly(k: int) -> RationalPolynomial:
-    """c2 on P_k as a degree-2 polynomial in c1."""
-    kk = k * k
-    return RationalPolynomial((Fraction(1 - 20 * kk + 64 * kk * kk),
-                               Fraction(-4 + 16 * kk), Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -459,45 +426,43 @@ def resonance_geometry_table(h_max: int = 5, k_max: int = 5) -> list:
     * L_k is tangent to P_0 (unique contact, at c1 = 5/4 - 4k^2);
     * P_k is tangent to L_0 (unique contact, at c1 = 5/4 - 8k^2);
     * L_h and L_k (h != k) meet at c1 = 5/4 - 2h^2 - 2k^2;
-    * P_h and P_k (h != k) meet at c1 = 5/4 - 4h^2 - 4k^2;
+    * P_h and P_k (h != k) meet only at c1 = 5/4 - 4h^2 - 4k^2, and that
+      point lies on L_|h-k| and on L_(h+k);
     * L_h and P_k meet at c1 = 5/4 - 4h^2 +- 8hk - 8k^2.
 
     Everything is checked in exact rational arithmetic.
     """
+    tangencies = (
+        [(f"L_{k} tangent to P_0", _parabola_poly(0) - _line_poly(k), line_pivot(k))
+         for k in range(k_max + 1)]
+        + [(f"P_{k} tangent to L_0", _parabola_poly(k) - _line_poly(0), parabola_pivot(k))
+           for k in range(k_max + 1)])
     out = []
-    for k in range(k_max + 1):
-        diff = _parabola_poly(0) - _line_poly(k)
+    for description, diff, pivot in tangencies:
         a2, a1, a0 = diff.descending()
-        disc = a1 * a1 - 4 * a2 * a0
         contact = -a1 / (2 * a2)
-        ok = disc == 0 and contact == line_pivot(k)
-        out.append(GeometryIdentity(
-            f"L_{k} tangent to P_0", ok, f"contact c1 = {contact}"))
-    for k in range(k_max + 1):
-        diff = _parabola_poly(k) - _line_poly(0)
-        a2, a1, a0 = diff.descending()
-        disc = a1 * a1 - 4 * a2 * a0
-        contact = -a1 / (2 * a2)
-        ok = disc == 0 and contact == parabola_pivot(k)
-        out.append(GeometryIdentity(
-            f"P_{k} tangent to L_0", ok, f"contact c1 = {contact}"))
+        ok = a1 * a1 == 4 * a2 * a0 and contact == pivot
+        out.append(GeometryIdentity(description, ok, f"contact c1 = {contact}"))
     for h in range(h_max + 1):
         for k in range(k_max + 1):
             if h == k:
                 continue
             diff = _line_poly(h) - _line_poly(k)
-            if diff.degree != 1:
-                out.append(GeometryIdentity(f"L_{h} meets L_{k}", False, "not linear"))
-                continue
             root = -diff.coeffs[0] / diff.coeffs[1]
             expect = Fraction(5, 4) - 2 * h * h - 2 * k * k
             out.append(GeometryIdentity(
                 f"L_{h} meets L_{k}", root == expect, f"c1 = {root}"))
+            # the difference is linear in c1, so the meeting point is unique
             diffp = _parabola_poly(h) - _parabola_poly(k)
             rootp = -diffp.coeffs[0] / diffp.coeffs[1]
             expectp = Fraction(5, 4) - 4 * h * h - 4 * k * k
             out.append(GeometryIdentity(
                 f"P_{h} meets P_{k}", rootp == expectp, f"c1 = {rootp}"))
+            c2 = _parabola_poly(h)(rootp)
+            on_lines = _line_poly(abs(h - k))(rootp) == c2 == _line_poly(h + k)(rootp)
+            out.append(GeometryIdentity(
+                f"P_{h} meets P_{k} on L_{abs(h - k)} and L_{h + k}", on_lines,
+                f"(c1, c2) = ({rootp}, {c2})"))
     for h in range(h_max + 1):
         for k in range(k_max + 1):
             diff = _parabola_poly(k) - _line_poly(h)
@@ -522,14 +487,11 @@ def locus_samples(line_k_max: int = 5, parabola_k_max: int = 3,
     c1_lo, c1_hi = as_fraction(c1_lo), as_fraction(c1_hi)
     step = (c1_hi - c1_lo) / (samples - 1)
     rows = []
-    for k in range(line_k_max + 1):
-        for i in range(samples):
-            c1 = c1_lo + step * i
-            c2 = line_c2(c1, k)
-            rows.append(("line", k, c1, c2, euler_esa_closed_form(c1, c2)))
-    for k in range(parabola_k_max + 1):
-        for i in range(samples):
-            c1 = c1_lo + step * i
-            c2 = parabola_c2(c1, k)
-            rows.append(("parabola", k, c1, c2, euler_esa_closed_form(c1, c2)))
+    for kind, k_top, c2_of in (("line", line_k_max, line_c2),
+                               ("parabola", parabola_k_max, parabola_c2)):
+        for k in range(k_top + 1):
+            for i in range(samples):
+                c1 = c1_lo + step * i
+                c2 = c2_of(c1, k)
+                rows.append((kind, k, c1, c2, euler_esa_closed_form(c1, c2)))
     return rows

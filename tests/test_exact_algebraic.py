@@ -149,3 +149,101 @@ def test_pickle_roundtrip():
     assert y.equals(x)
     p = pickle.loads(pickle.dumps(Z * Z - 2))
     assert p == Z * Z - 2
+
+
+def test_exact_real_roots_skips_square_free_part_on_square_free_input(monkeypatch):
+    # every factor exact_real_roots hands to AlgebraicReal is square-free by
+    # construction, so building the numbers runs no further remainder sequence
+    from esacert.exact import algebraic
+
+    calls = []
+    original = algebraic.square_free_part
+    monkeypatch.setattr(algebraic, "square_free_part",
+                        lambda p: calls.append(p) or original(p))
+    p = (Z * Z - 2) * (3 * Z * Z - 5) * (Z - F(1, 2)) * (Z * Z * Z - 7)
+    roots = exact_real_roots(p)
+    assert calls == []
+    irrational = [r for r in roots if isinstance(r, AlgebraicReal)]
+    assert len(irrational) == 5
+    for r in irrational:
+        assert r.defining.leading > 0
+        assert all(c.denominator == 1 for c in r.defining.coeffs)
+
+
+# -- property suite against 200-bit mpmath values ---------------------------------
+
+_linear_factors = st.tuples(st.integers(1, 5), st.integers(-12, 12))      # a z + b
+_quadratic_factors = st.tuples(st.integers(-9, 9), st.integers(-20, 20))  # z^2 + p z + q
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _check_against_reference(values, refs):
+    """values (Fraction/AlgebraicReal) against their 200-bit references: the
+    same float, and every pairwise comparison with the reference sign."""
+    import mpmath as mp
+
+    gap = mp.mpf(2) ** -150
+    for x, ref in zip(values, refs):
+        assert abs(float(x) - float(ref)) <= 2.0 ** -52 * abs(float(ref)) + 2.0 ** -80
+    for i, (x, rx) in enumerate(zip(values, refs)):
+        for y, ry in zip(values[i:], refs[i:]):
+            want = 0 if abs(rx - ry) < gap else _sign(rx - ry)
+            assert value_compare(x, y) == want
+            if isinstance(x, AlgebraicReal):
+                assert x.equals(y) == (want == 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_small_rationals, _small_rationals, st.integers(0, 30)),
+                min_size=2, max_size=4))
+def test_surds_compare_equal_and_float_against_mpmath(surds):
+    import mpmath as mp
+
+    with mp.workprec(200):
+        values = [AlgebraicReal.from_quadratic_surd(a, b, c) for a, b, c in surds]
+        refs = [mp.mpf(a.numerator) / a.denominator
+                + mp.mpf(b.numerator) / b.denominator * mp.sqrt(c) for a, b, c in surds]
+        _check_against_reference(values, refs)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(_linear_factors, max_size=3),
+       st.lists(_quadratic_factors, min_size=1, max_size=3))
+def test_root_products_against_mpmath(linears, quadratics):
+    import mpmath as mp
+
+    p = RationalPolynomial.one()
+    for a, b in linears:
+        p = p * (a * Z + b)
+    for pp, q in quadratics:
+        p = p * (Z * Z + pp * Z + q)
+    roots = exact_real_roots(p)
+    with mp.workprec(200):
+        refs = [mp.mpf(-b) / a for a, b in linears]
+        surds = []   # the quadratic roots as a + b sqrt(c), built both ways
+        for pp, q in quadratics:
+            disc = pp * pp - 4 * q
+            for s in (-1, 1) if disc >= 0 else ():
+                refs.append((-pp + s * mp.sqrt(disc)) / 2)
+                surds.append((AlgebraicReal.from_quadratic_surd(F(-pp, 2), F(s, 2), disc),
+                              refs[-1]))
+        refs.sort()
+        distinct = [r for i, r in enumerate(refs)
+                    if i == 0 or r - refs[i - 1] > mp.mpf(2) ** -150]
+        assert len(roots) == len(distinct)
+        _check_against_reference(roots, distinct)
+        for surd, ref in surds:
+            matches = [r for r in roots if value_compare(surd, r) == 0]
+            assert len(matches) == 1
+            assert abs(float(matches[0]) - float(ref)) <= 2.0 ** -52 * abs(float(ref)) + 2.0 ** -80
+            if isinstance(matches[0], AlgebraicReal):
+                assert surd.equals(matches[0]) and matches[0].equals(surd)
+        for r in roots:
+            if isinstance(r, AlgebraicReal):
+                back = pickle.loads(pickle.dumps(r))
+                assert back.defining == r.defining
+                assert back.equals(r) and value_compare(back, r) == 0
+                assert float(back) == float(r)

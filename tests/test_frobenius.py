@@ -288,3 +288,100 @@ class TestGeometry:
                 assert c2 == line_c2(c1, k)
             else:
                 assert c2 == parabola_c2(c1, k)
+
+
+def _display_points():
+    """Points of L_k and P_k (k <= 5) on both sides of each pivot and at it,
+    every pairwise intersection with h < k <= 4, and points of P_0 above
+    its pivot, whose exponent relations are those of the lower branch."""
+    pts = [(F(2), F(-3)), (F(3), F(-2)), (F(17, 2), F(157, 4)),
+           (F(39, 28), F(-2063, 784))]
+    for k in range(6):
+        for off in (F(-3), F(-1, 2), F(0), F(1, 2), F(3)):
+            c1 = line_pivot(k) + off
+            pts.append((c1, line_c2(c1, k)))
+            c1 = parabola_pivot(k) + off
+            pts.append((c1, parabola_c2(c1, k)))
+    for h in range(5):
+        for k in range(h + 1, 5):
+            c1 = F(5, 4) - 2 * h * h - 2 * k * k
+            pts.append((c1, line_c2(c1, h)))
+            c1 = F(5, 4) - 4 * h * h - 4 * k * k
+            pts.append((c1, parabola_c2(c1, h)))
+            for a, b in ((h, k), (k, h)):     # L_a meets P_b at two points
+                for sign in (1, -1):
+                    c1 = F(5, 4) - 4 * a * a + sign * 8 * a * b - 8 * b * b
+                    pts.append((c1, line_c2(c1, a)))
+    return pts
+
+
+class TestDisplayRule:
+    @pytest.mark.parametrize("c1,c2", _display_points())
+    def test_descriptors_distinct_and_g20_pairs_resonant(self, c1, c2):
+        sel = select_fundamental_system(c1, c2)
+        sols = sel.solutions
+        assert len(sols) == 4 and len(set(sols)) == 4
+        assert sel.to_json()["note"] == ""
+        for s in sols:
+            if s.kind is SolutionKind.MEIJER_G20:
+                d = s.parameters[0] - s.parameters[1]
+                assert abs(d.imag) < 1e-9
+                assert abs(d.real - round(d.real)) < 1e-9 and round(d.real) <= 0
+
+    @pytest.mark.parametrize("c1,c2", _display_points())
+    def test_g20_positions_are_the_relation_heads(self, c1, c2):
+        # outside the line-and-parabola chain, G20s sit exactly at the first
+        # index of each exponent relation, led by that relation's pair
+        sel = select_fundamental_system(c1, c2)
+        if sel.case_tag is CaseTag.LINE_AND_PARABOLA:
+            return
+        cls = sel.classification
+        rels = [r for m in cls.lines + cls.parabolas for r in m.relations]
+        a = [complex(x) / 4 for x in quartic_roots_closed_form(cls.params)]
+        heads = {i for i, _ in rels}
+        for pos, s in enumerate(sel.solutions, start=1):
+            assert (s.kind is SolutionKind.MEIJER_G20) == (pos in heads)
+        for i, j in rels:
+            g = sel.solutions[i - 1]
+            assert g.parameters[:2] == (a[i - 1], a[j - 1])
+
+    def test_p0_above_pivot_prints_the_lower_display(self):
+        above = select_fundamental_system(F(2), F(-3))
+        below = select_fundamental_system(F(0), F(1))
+        assert above.classification.parabolas[0].branch is Branch.UPPER
+        assert ([s.kind for s in above.solutions]
+                == [s.kind for s in below.solutions]
+                == [SolutionKind.MEIJER_G20, SolutionKind.SERIES_F03,
+                    SolutionKind.MEIJER_G20, SolutionKind.SERIES_F03])
+
+
+class TestCertifiedResidual:
+    POINTS = ((F(0), F(-1)), (F(0), F(-9, 16)), (F(0), F(-105, 16)), (F(0), F(1)))
+    EVALS = ((complex(3.5, -1), F(2)), (complex(1, 0), F(1, 2)),
+             (complex(-2, 0.5), F(3, 2)), (complex(0, 4), F(1)))
+
+    def test_defect_within_the_telescoped_bound(self):
+        # the defect of the series cut after t_K is -lambda r^alpha t_K with
+        # |t_K| < tol, so |defect| <= |lambda| r^(Re alpha) tol
+        tol = 1e-20
+        checked = 0
+        for c1, c2 in self.POINTS:
+            sel = select_fundamental_system(c1, c2)
+            for index, desc in enumerate(sel.solutions, start=1):
+                if desc.kind is not SolutionKind.SERIES_F03:
+                    continue
+                for lam, r in self.EVALS:
+                    res = ode_residual(sel, index, c1, c2, lam, r, tol=tol)
+                    bound = abs(lam) * float(r) ** desc.exponent.real * tol
+                    assert res <= bound * (1 + 1e-6), (c1, c2, index, lam, r, res)
+                    checked += 1
+        assert checked == 4 * (4 + 3 + 3 + 2)
+
+
+class TestParabolaPairIdentity:
+    def test_table_rows_hold(self):
+        table = resonance_geometry_table(5, 5)
+        rows = [g for g in table if " on L_" in g.description]
+        assert len(rows) == 6 * 5
+        assert all(g.holds for g in rows)
+        assert "P_1 meets P_3 on L_2 and L_4" in {g.description for g in rows}
