@@ -309,14 +309,20 @@ def select_fundamental_system(c1, c2) -> BasisSelection:
 
 
 def _check_parameters(params: Sequence, tol: float = 1e-9):
+    """Raise ResonanceError at a nonpositive-integer series parameter: exactly
+    for a rational (int or Fraction) parameter, within tol otherwise."""
     for p in params:
-        p = complex(p)
-        if abs(p.imag) < tol:
+        if isinstance(p, (int, Fraction)):
+            resonant = p.denominator == 1 and p <= 0
+        else:
+            p = complex(p)
             nearest = round(p.real)
-            if nearest <= 0 and abs(p.real - nearest) < tol:
-                raise ResonanceError(
-                    f"series parameter {p} is a nonpositive integer; "
-                    "use select_fundamental_system for a valid basis")
+            resonant = (abs(p.imag) < tol and nearest <= 0
+                        and abs(p.real - nearest) < tol)
+        if resonant:
+            raise ResonanceError(
+                f"series parameter {p} is a nonpositive integer; "
+                "use select_fundamental_system for a valid basis")
 
 
 def _0F3_terms(p1, p2, p3, z, tol: float, max_terms: int = 10 ** 6):
@@ -326,10 +332,10 @@ def _0F3_terms(p1, p2, p3, z, tol: float, max_terms: int = 10 ** 6):
 
     Ends at the first t_K with |t_K| < tol after which a geometric ratio
     bound certifies the dropped tail to be at most tol in absolute value;
-    raises if the term budget is exhausted first.  Nonpositive-integer
-    parameters are rejected (the series degenerates).
+    raises if the term budget is exhausted first.  The caller rejects
+    nonpositive-integer parameters (the series degenerates) by
+    `_check_parameters`.
     """
-    _check_parameters((p1, p2, p3))
     # |p + k| grows monotonically once k exceeds -Re p, making the term
     # ratio decreasing and the geometric tail bound valid
     k_safe = max(8, 2 + math.ceil(max(0.0, -min(p.real for p in (p1, p2, p3)))))
@@ -354,6 +360,7 @@ def _0F3_terms(p1, p2, p3, z, tol: float, max_terms: int = 10 ** 6):
 def eval_0F3(p1, p2, p3, z, tol: float = 1e-20, max_terms: int = 10 ** 6):
     """Truncated hypergeometric series sum z^k / ((p1)_k (p2)_k (p3)_k k!),
     with the dropped tail certified to be at most tol (see `_0F3_terms`)."""
+    _check_parameters((p1, p2, p3))
     prec = max(96, int(-math.log2(tol)) + 64)
     with mp.workprec(prec):
         total = mp.mpc(0)
@@ -394,6 +401,7 @@ def ode_defect(sel: BasisSelection, index: int, c1, c2, lam, r,
         others = sorted((w for w in hi if w is not alpha),
                         key=lambda w: (float(w.real), float(w.imag)))
         ps = [1 + (alpha - w) / 4 for w in others]
+        _check_parameters(ps)
         x = lam_mp * r_mp ** 4 / 256
         # t_k = u_k x^k, with tau(r^(alpha+4k)) = E(alpha + 4k) r^(alpha+4k-4)
         op_sum = mp.mpc(0)    # sum t_k E(alpha+4k) r^(-4)

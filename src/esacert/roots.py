@@ -14,17 +14,20 @@ any other p takes them itself.
    gives a, with twice the multiplicity);
 2. each remaining factor f is handed to an Aberth-Ehrlich simultaneous
    iteration from deterministic Newton-polygon initial points, run first in
-   hardware floats and polished in mpmath at the working precision (from
-   the initial points themselves at escalated precision, or when the floats
-   fail).  If f(a + w) = g(w^2), the iteration runs on g and each root y of
-   g gives the two centers a +- sqrt(y), the square root taken in mpmath and
-   the sum with a exactly; a root y that the Sturm isolation of g shows to
-   be real is put on the real axis, so its centers lie on the real axis
-   (y > 0) or on the line Re z = a (y < 0);
+   hardware floats and polished on dyadic iterates at the working precision
+   (from the initial points themselves at escalated precision, or when the
+   floats fail).  A dyadic step takes f/f' exactly by integer Horner and
+   only the repulsion sum in floats, from the exact iterate differences;
+   each iterate is rounded to the working precision relative to its
+   modulus.  If f(a + w) = g(w^2), the iteration runs on g and each root y
+   of g gives the two centers a +- sqrt(y), the square root taken by
+   `math.isqrt` and the sum with a exactly; a root y that the Sturm
+   isolation of g shows to be real is put on the real axis, so its centers
+   lie on the real axis (y > 0) or on the line Re z = a (y < 0);
 3. every candidate center is certified on f itself by the exact bound
    |x - nearest root| <= deg * |f(x)| / |f'(x)|, evaluated in integer
-   arithmetic at the rational center (mpmath supplies candidates only, never
-   the certificate);
+   arithmetic at the rational center (the iteration supplies candidates
+   only, never the certificate);
 4. precision doubles from START_BITS up to MAX_BITS until all disks are
    pairwise disjoint, in which case each disk provably contains exactly one
    root.  A disk centred on the real axis (or on Re z = a) then holds a
@@ -45,8 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import (RationalPolynomial, as_fraction, primitive_part,
-                    rational_roots, rational_sqrt, real_root_factors)
+from .exact import (RationalPolynomial, as_fraction, rational_roots,
+                    rational_sqrt, real_root_factors)
 
 START_BITS = 128   # first working precision of every numeric root computation
 MAX_BITS = 4096    # certified_roots gives up beyond this precision
@@ -55,18 +58,6 @@ FLOAT_TOL = 2.0 ** -45  # relative step at which the float iteration stops
 
 class PrecisionExceededError(RuntimeError):
     """Raised when root disks are still not separated at MAX_BITS."""
-
-
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0 and exp != 0:
-        raise ValueError("non-finite value cannot be converted exactly")
-    v = Fraction(man)
-    if exp >= 0:
-        v *= 1 << exp
-    else:
-        v /= 1 << (-exp)
-    return -v if sign else v
 
 
 def _sqrt_upper_pow2(q: Fraction) -> Fraction:
@@ -140,13 +131,14 @@ def _log_abs(fr: Fraction) -> float:
     return math.log(abs(fr.numerator)) - math.log(fr.denominator)
 
 
-def _initial_radii(coeffs: Sequence[Fraction]) -> list:
-    """Per-root modulus estimates from the Newton polygon of the coefficients.
+def _initial_log_radii(coeffs: Sequence[Fraction]) -> list:
+    """Per-root log-modulus estimates from the Newton polygon of the coefficients.
 
     Upper convex hull of (k, log|a_k|); each hull edge of horizontal span s
-    contributes s starting moduli exp(-slope).  This respects mixed root
+    contributes s starting log-moduli -slope.  This respects mixed root
     scales, which matter here: couplings around 1e10 put some roots at
-    modulus ~10 and the constant term at ~1e10.
+    modulus ~10 and the constant term at ~1e10.  Logarithms, because a
+    modulus may lie beyond the float range.
     """
     pts = [(k, _log_abs(c)) for k, c in enumerate(coeffs) if c != 0]
     hull = []  # upper hull, left to right
@@ -158,26 +150,52 @@ def _initial_radii(coeffs: Sequence[Fraction]) -> list:
             else:
                 break
         hull.append(pt)
-    radii = []
+    logs = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        r = math.exp((y1 - y2) / (x2 - x1))
-        radii.extend([r] * (x2 - x1))
-    return radii
+        logs.extend([(y1 - y2) / (x2 - x1)] * (x2 - x1))
+    return logs
+
+
+def _iterate(n: int, step: Callable, steps: int, nudge=None) -> bool:
+    """At most `steps` Aberth-Ehrlich sweeps over the iterates 0..n-1.
+
+    step(i) moves iterate i in place and returns whether it is still
+    moving, i.e. whether its step was at least the tolerance relative to
+    1 + |z|; a root is frozen once it is not, so the roots already found
+    stop moving while a cluster converges.  Where step(i) returns None
+    (the correction is undefined), nudge(i) moves iterate i on; without a
+    nudge the iteration gives up and returns False.
+    """
+    active = range(n)
+    for _ in range(steps):
+        moving = []
+        for i in active:
+            moved = step(i)
+            if moved is None:
+                if nudge is None:
+                    return False
+                nudge(i)
+                moved = True
+            if moved:
+                moving.append(i)
+        active = moving
+        if not active:
+            break
+    return True
 
 
 def _aberth_step(i: int, z: list, cs: Sequence):
-    """The Aberth-Ehrlich correction of z[i] for the polynomial with
-    ascending coefficients cs, in the number type of z (Python complex or
-    mpmath mpc); None at a zero of the derivative or where z[i] meets
-    another iterate."""
+    """The Aberth-Ehrlich correction of z[i] in hardware floats for the
+    polynomial with ascending coefficients cs; None at a zero of the
+    derivative or where z[i] meets another iterate."""
     zi = z[i]
-    pv, dv = cs[-1], 0 * zi
+    pv, dv = cs[-1], 0j
     for c in reversed(cs[:-1]):
         dv = dv * zi + pv
         pv = pv * zi + c
     if dv == 0:
         return None
-    s = 0 * zi
+    s = 0j
     for j, zj in enumerate(z):
         if j != i:
             dz = zi - zj
@@ -189,44 +207,180 @@ def _aberth_step(i: int, z: list, cs: Sequence):
     return newton if denom == 0 else newton / denom
 
 
-def _iterate(z: list, cs: Sequence, tol, steps: int, nudge=None) -> bool:
-    """At most `steps` Aberth-Ehrlich sweeps on the iterates z, in place.
-
-    A root is frozen once its step is below tol relative to 1 + |z|, so the
-    roots already found stop moving while a cluster converges.  Where a
-    correction is undefined, nudge(i) moves z[i] on; without a nudge the
-    iteration gives up and returns False.
-    """
-    active = range(len(z))
-    for _ in range(steps):
-        moving = []
-        for i in active:
-            step = _aberth_step(i, z, cs)
-            if step is None:
-                if nudge is None:
-                    return False
-                nudge(i)
-                moving.append(i)
-                continue
-            z[i] -= step
-            if abs(step) >= tol * (1 + abs(z[i])):
-                moving.append(i)
-        active = moving
-        if not active:
-            break
-    return True
-
-
 def _float_seeds(coeffs: Sequence[Fraction], start: list, steps: int):
     """The Aberth iterates from `start` in hardware floats, or None when the
     floats overflow or two iterates collide."""
     try:
         z = list(start)
-        if not _iterate(z, [float(c) for c in coeffs], FLOAT_TOL, steps):
+        cs = [float(c) for c in coeffs]
+
+        def step(i):
+            s = _aberth_step(i, z, cs)
+            if s is None:
+                return None
+            z[i] -= s
+            return abs(s) >= FLOAT_TOL * (1 + abs(z[i]))
+
+        if not _iterate(len(z), step, steps):
             return None
     except (OverflowError, ZeroDivisionError):
         return None
     return z if all(cmath.isfinite(w) for w in z) else None
+
+
+# A dyadic is a triple (a, b, e) of integers standing for (a + ib) * 2^e.
+
+def _from_complex(w: complex, e: int = 0) -> tuple:
+    """The dyadic w * 2^e: exact in the larger part of w, and to 53 bits
+    relative to |w| in the other."""
+    if w == 0:
+        return 0, 0, 0
+    k = math.frexp(max(abs(w.real), abs(w.imag)))[1] - 53
+    return int(math.ldexp(w.real, -k)), int(math.ldexp(w.imag, -k)), e + k
+
+
+def _add(z: tuple, w: tuple) -> tuple:
+    (a, b, e), (c, d, f) = z, w
+    if e > f:
+        a, b, e = a << (e - f), b << (e - f), f
+    else:
+        c, d = c << (f - e), d << (f - e)
+    return a + c, b + d, e
+
+
+def _sub(z: tuple, w: tuple) -> tuple:
+    return _add(z, (-w[0], -w[1], w[2]))
+
+
+def _mul(z: tuple, w: tuple) -> tuple:
+    (a, b, e), (c, d, f) = z, w
+    return a * c - b * d, a * d + b * c, e + f
+
+
+def _round(z: tuple, bits: int) -> tuple:
+    """z rounded to `bits` bits relative to |z|."""
+    a, b, e = z
+    excess = max(abs(a), abs(b)).bit_length() - bits
+    if excess <= 0:
+        return z
+    half = 1 << (excess - 1)
+    return (a + half) >> excess, (b + half) >> excess, e + excess
+
+
+def _scaled(z: tuple) -> tuple:
+    """(c, k) with z = c * 2^k and c a complex float of modulus about 2^60."""
+    a, b, e = z
+    k = max(abs(a), abs(b)).bit_length() - 60
+    if k >= 0:
+        return complex(a >> k, b >> k), e + k
+    return complex(a << -k, b << -k), e + k
+
+
+def _log2_abs(z: tuple) -> float:
+    """log2|z|, -inf at zero."""
+    c, k = _scaled(z)
+    return math.log2(abs(c)) + k if c else -math.inf
+
+
+def _log2_one_plus(x: float) -> float:
+    """log2(1 + 2^x)."""
+    return x if x > 60 else math.log2(1 + 2.0 ** x)
+
+
+def _fractions(z: tuple) -> tuple:
+    a, b, e = z
+    if e >= 0:
+        return Fraction(a << e), Fraction(b << e)
+    return Fraction(a, 1 << -e), Fraction(b, 1 << -e)
+
+
+def _dyadic(re: Fraction, im: Fraction) -> tuple:
+    """The dyadic re + i*im, for Fractions with power-of-two denominators."""
+    k = max(re.denominator, im.denominator).bit_length() - 1
+    return (re.numerator << (k + 1 - re.denominator.bit_length()),
+            im.numerator << (k + 1 - im.denominator.bit_length()), -k)
+
+
+def _integer_coeffs(coeffs: Sequence[Fraction]) -> list:
+    """The coefficients, descending, of the primitive integer polynomial that
+    is a rational multiple of the one with ascending coefficients `coeffs`."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _horner(desc: Sequence[int], a: int, b: int, s: int) -> tuple:
+    """(Re, Im) of H = s^d F(x) and of H' = s^(d-1) F'(x) at x = (a + ib)/s,
+    for F of degree d with integer coefficients `desc` (descending), by
+    homogenised Horner in integers."""
+    hr, hi, dr, di = desc[0], 0, 0, 0
+    spow = 1
+    for c in desc[1:]:
+        spow *= s
+        dr, di = dr * a - di * b + hr, dr * b + di * a + hi
+        hr, hi = hr * a - hi * b + c * spow, hr * b + hi * a
+    return hr, hi, dr, di
+
+
+def _newton(desc: Sequence[int], z: tuple, bits: int):
+    """F(z)/F'(z) to `bits` bits relative to its modulus, F(z) and F'(z)
+    exact by `_horner`; None where F' vanishes."""
+    a, b, e = z
+    s = 1
+    if e >= 0:
+        a, b = a << e, b << e
+    else:
+        s = 1 << -e
+    hr, hi, dr, di = _horner(desc, a, b, s)
+    den = s * (dr * dr + di * di)   # F/F' = H conj(H') / (s |H'|^2)
+    if den == 0:
+        return None
+    nr, ni = hr * dr + hi * di, hi * dr - hr * di
+    k = bits - max(abs(nr), abs(ni)).bit_length() + den.bit_length()
+    if k >= 0:
+        return (nr << k) // den, (ni << k) // den, -k
+    den <<= -k
+    return nr // den, ni // den, -k
+
+
+def _dyadic_step(i: int, z: list, desc: Sequence[int], bits: int,
+                 tol_bits: int):
+    """The Aberth-Ehrlich correction of the dyadic z[i], in place, with z[i]
+    rounded to `bits` bits; whether the step was at least 2^-tol_bits
+    relative to 1 + |z[i]|, or None at a zero of the derivative or where
+    z[i] (all but) meets another iterate.
+
+    The Newton correction N = F/F' is exact up to its rounding.  The
+    repulsion w = N * sum 1/(z[i] - z[j]) is summed in floats from the
+    exact differences, and the step N/(1 - w) is taken as N + N*w/(1 - w)
+    while |w| <= 1/2, so that near a root the float rounding enters only
+    at second order.
+    """
+    zi = z[i]
+    newton = _newton(desc, zi, bits + 4)
+    if newton is None:
+        return None
+    if newton[0] == newton[1] == 0:
+        return False
+    nc, nk = _scaled(newton)
+    w = 0j
+    for j, zj in enumerate(z):
+        if j != i:
+            dz = _sub(zi, zj)
+            if dz[0] == dz[1] == 0:
+                return None
+            c, k = _scaled(dz)
+            if nk - k > 1000:
+                return None
+            w += nc / c * math.ldexp(1.0, nk - k)
+    if abs(w) <= 0.5:
+        q = _add((1, 0, 0), _from_complex(w / (1 - w)))
+    else:
+        q = (1, 0, 0) if w == 1 else _from_complex(1 / (1 - w))
+    step = _mul(newton, q)
+    z[i] = _round(_sub(zi, step), bits)
+    return _log2_abs(step) + tol_bits >= _log2_one_plus(_log2_abs(z[i]))
 
 
 def _aberth(coeffs: Sequence[Fraction], prec_bits: int,
@@ -235,45 +389,64 @@ def _aberth(coeffs: Sequence[Fraction], prec_bits: int,
     after at most `steps` sweeps (by default 40 + 10 * degree + prec_bits/2).
 
     The iteration starts from the Newton-polygon points.  At START_BITS it
-    first runs in hardware floats, and the multiprecision sweeps only polish
-    its result; at escalated precision, or when the floats overflow or two
-    iterates collide, the multiprecision sweeps start from the points
-    themselves.
+    first runs in hardware floats, and the dyadic sweeps (`_dyadic_step`)
+    only polish its result; at escalated precision, or when the floats
+    overflow or two iterates collide, the dyadic sweeps start from the
+    points themselves.  Each iterate is kept to `prec_bits` bits relative
+    to its modulus, so a part below that is zero.
     """
-    import mpmath as mp
-
     d = len(coeffs) - 1
     if steps is None:
         steps = 40 + 10 * d + prec_bits // 2
-    radii = _initial_radii(coeffs)
+    logs = _initial_log_radii(coeffs)
+    angles = [2 * math.pi * k / d + 0.7 for k in range(d)]
     seeds = None
     if prec_bits == START_BITS:
-        seeds = _float_seeds(coeffs, [r * cmath.exp(1j * (2 * math.pi * k / d + 0.7))
-                                      for k, r in enumerate(radii)], steps)
-    with mp.workprec(prec_bits):
-        cs = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in coeffs]
-        if seeds is not None:
-            z = [mp.mpc(w) for w in seeds]
-        else:
-            z = [mp.mpc(mp.mpf(radii[k]) * mp.cos(2 * mp.pi * k / d + mp.mpf("0.7")),
-                        mp.mpf(radii[k]) * mp.sin(2 * mp.pi * k / d + mp.mpf("0.7")))
-                 for k in range(d)]
-        # centers only need to be good enough for the exact certificates to
-        # separate; three quarters of the working precision leaves ample slack
-        tol = mp.mpf(2) ** (-(3 * prec_bits) // 4)
+        try:
+            start = [math.exp(t) * cmath.exp(1j * phi) for t, phi in zip(logs, angles)]
+        except OverflowError:
+            start = None
+        seeds = start and _float_seeds(coeffs, start, steps)
+    if seeds:
+        z = [_from_complex(w) for w in seeds]
+    else:
+        z = []
+        for t, phi in zip(logs, angles):
+            t2 = t / math.log(2)
+            e = math.floor(t2)
+            z.append(_from_complex(2.0 ** (t2 - e) * cmath.exp(1j * phi), e))
+    desc = _integer_coeffs(coeffs)
+    # centers only need to be good enough for the exact certificates to
+    # separate; three quarters of the working precision leaves ample slack
+    tol_bits = 3 * prec_bits // 4
 
-        def nudge(i):
-            z[i] += mp.mpc(tol, tol) * (1 + abs(z[i])) * (i + 1)
+    def nudge(i):
+        k = math.ceil(_log2_one_plus(_log2_abs(z[i]))) - tol_bits
+        z[i] = _round(_add(z[i], (i + 1, i + 1, k)), prec_bits)
 
-        _iterate(z, cs, tol, steps, nudge)
-        # a part below the working precision relative to |w| is noise; as a
-        # Fraction it would only inflate the certificate's integers
-        out = []
-        for w in z:
-            small = abs(w) * mp.mpf(2) ** -prec_bits
-            out.append(tuple(Fraction(0) if abs(x) < small else _mpf_to_fraction(x)
-                             for x in (w.real, w.imag)))
-        return out
+    _iterate(d, lambda i: _dyadic_step(i, z, desc, prec_bits, tol_bits),
+             steps, nudge)
+    return [_fractions(w) for w in z]
+
+
+def _sqrt(y: tuple, bits: int) -> tuple:
+    """The principal square root of the dyadic y to about `bits` bits, with
+    8 guard bits so that the centers a +- sqrt(y) lose nothing to it.
+
+    The larger part is sqrt((|y| + |Re y|)/2) by `math.isqrt` and the smaller
+    is Im y / (2 * larger), so nothing cancels; a real y gives a root that
+    is real (y > 0) or purely imaginary (y < 0).
+    """
+    a, b, e = y
+    if e % 2:
+        a, b, e = a << 1, b << 1, e - 1
+    u = max(bits + 8 - max(abs(a), abs(b)).bit_length() // 2, 0)
+    m = math.isqrt((a * a + b * b) << (2 * u))                # |y| 2^u
+    big = math.isqrt(((m + (abs(a) << u)) << u) >> 1)
+    small = (abs(b) << (2 * u)) // (2 * big) if big else 0
+    if a >= 0:
+        return big, small if b >= 0 else -small, e // 2 - u
+    return small, big if b >= 0 else -big, e // 2 - u
 
 
 @dataclass(frozen=True)
@@ -349,14 +522,13 @@ def _centers(job: _NumericFactor, prec_bits: int) -> list:
     """Candidate centers for the roots of job.f.
 
     With a centre a, Aberth runs on g at half the degree and each root y of
-    g gives a +- sqrt(y), the square root taken in mpmath and the sum with a
-    exactly, so the pairs are exactly symmetric about a.  A real y gives
-    centers on the real axis (y > 0) or on the line Re z = a (y < 0).
+    g gives a +- sqrt(y), the square root taken by `_sqrt` in integers and
+    the sum with a exactly, so the pairs are exactly symmetric about a.  A
+    real y gives centers on the real axis (y > 0) or on the line Re z = a
+    (y < 0).
     """
     if job.a is None:
         return _aberth(job.f.coeffs, prec_bits)
-    import mpmath as mp
-
     # the step budget of the full degree: the iterates close in on a
     # cluster of roots of g no faster than on the matching roots of f
     ys = _aberth(job.g.coeffs, prec_bits,
@@ -365,13 +537,9 @@ def _centers(job: _NumericFactor, prec_bits: int) -> list:
     for k in sorted(range(len(ys)), key=lambda k: abs(ys[k][1]))[:job.real]:
         ys[k] = (ys[k][0], Fraction(0))
     out = []
-    with mp.workprec(prec_bits):
-        for yr, yi in ys:
-            # the square root of a real y is real or purely imaginary
-            s = mp.sqrt(mp.mpc(mp.mpf(yr.numerator) / yr.denominator,
-                               mp.mpf(yi.numerator) / yi.denominator))
-            sr, si = _mpf_to_fraction(s.real), _mpf_to_fraction(s.imag)
-            out += [(job.a + sr, si), (job.a - sr, -si)]
+    for y in ys:
+        sr, si = _fractions(_sqrt(_dyadic(*y), prec_bits))
+        out += [(job.a + sr, si), (job.a - sr, -si)]
     return out
 
 
@@ -379,23 +547,17 @@ def _certify(f: RationalPolynomial, centers: list):
     """Exact disk radii deg*|f(x)/f'(x)| at rational centers; None if any f' vanishes.
 
     Let F be the integer polynomial that is a rational multiple of f, of
-    degree d, and x = (a + ib)/s.  Homogenised Horner in integers gives
-    H = s^d*F(x) and H' = s^(d-1)*F'(x), so |f/f'|^2 = |H|^2/(s^2*|H'|^2),
-    reduced as one Fraction at the end.
+    degree d, and x = (a + ib)/s.  `_horner` gives H = s^d*F(x) and
+    H' = s^(d-1)*F'(x), so |f/f'|^2 = |H|^2/(s^2*|H'|^2), reduced as one
+    Fraction at the end.
     """
     d = f.degree
-    lead, *rest = reversed([c.numerator for c in primitive_part(f).coeffs])
+    desc = _integer_coeffs(f.coeffs)
     radii = []
     for re, im in centers:
         s = math.lcm(re.denominator, im.denominator)
-        a = re.numerator * (s // re.denominator)
-        b = im.numerator * (s // im.denominator)
-        hr, hi, dr, di = lead, 0, 0, 0
-        spow = 1
-        for c in rest:
-            spow *= s
-            dr, di = dr * a - di * b + hr, dr * b + di * a + hi
-            hr, hi = hr * a - hi * b + c * spow, hr * b + hi * a
+        hr, hi, dr, di = _horner(desc, re.numerator * (s // re.denominator),
+                                 im.numerator * (s // im.denominator), s)
         den = dr * dr + di * di
         if den == 0:
             return None

@@ -416,6 +416,28 @@ def test_verdict_commands_load_no_mpmath():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_trajectory_figures_load_no_mpmath(tmp_path):
+    # certified root disks are computed in integers and hardware floats, so
+    # the trajectory figures never import mpmath either
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "import esacert.cli\n"
+        "run = esacert.cli.run\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert run(['figure', '--which', 'fig3', '--steps', '3', '--out', out]) == 0\n"
+        "assert run(['figure', '--which', 'fig1', '--c1', '-3', '--steps', '4',"
+        " '--out', out]) == 0\n"
+        "print(sorted(m for m in ('mpmath', 'esacert.frobenius') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("*.csv"))) == 6
+
+
 def test_package_resolves_frobenius_names_on_first_use():
     import esacert
     from esacert import frobenius

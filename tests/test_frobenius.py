@@ -214,6 +214,15 @@ class TestSeries:
         with pytest.raises(ResonanceError):
             eval_0F3(-2, 1, 1, 1)
 
+    def test_rational_parameters_checked_exactly(self):
+        # 10^-12 from -1 is within any float tolerance of a pole, yet the
+        # series is well defined; -1, 0 and -3 themselves are refused
+        near = eval_0F3(F(-1) + F(1, 10 ** 12), 1, 1, F(1, 2))
+        assert mp.isfinite(near) and abs(near) > 10 ** 10
+        for p in (F(-1), 0, -3):
+            with pytest.raises(ResonanceError):
+                eval_0F3(p, 1, 1, F(1, 2))
+
     def test_tolerance_certification(self):
         rough = eval_0F3(F(3, 2), F(5, 4), 2, 3, tol=1e-12)
         sharp = eval_0F3(F(3, 2), F(5, 4), 2, 3, tol=1e-35)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -422,7 +423,8 @@ class TestStepBudget:
     def test_non_symmetric_cluster(self, e):
         p = (Z * Z - 2) * (Z * Z - 2 - F(1, 10 ** e)) * (Z * Z + Z + 7)
         rs = certified_roots(p)
-        assert rs.precision_bits == 512 and rs.degree == 6
+        # the pair is ~3.5 * 10^-(e+1) apart: 2^-134 for e = 40, 2^-200 for e = 60
+        assert rs.precision_bits == {40: 256, 60: 512}[e] and rs.degree == 6
         # a root stops moving once converged, so its center keeps the size
         # of the working precision
         assert all(max(r.re.denominator, r.im.denominator).bit_length() < 4096
@@ -432,14 +434,13 @@ class TestStepBudget:
 class TestFloatSeeds:
     def test_polish_takes_two_sweeps(self, monkeypatch):
         sweeps = []
-        step = roots._aberth_step
+        step = roots._dyadic_step
 
-        def spy(i, z, cs):
-            if not isinstance(z[0], complex):
-                sweeps.append(i)
-            return step(i, z, cs)
+        def spy(i, *args):
+            sweeps.append(i)
+            return step(i, *args)
 
-        monkeypatch.setattr(roots, "_aberth_step", spy)
+        monkeypatch.setattr(roots, "_dyadic_step", spy)
         rs = certified_roots(build_indicial(IndicialSpec(5, 20, 0, F(15 * 10 ** 9))))
         assert rs.precision_bits == START_BITS
         assert len(sweeps) == 2 * 5
@@ -592,3 +593,79 @@ class TestIntegerCertificate:
         radii = _certify(f, centers)
         assert radii[:2] == [0, 0]
         assert radii == _certify_by_fractions(f, centers)
+
+
+_CLUSTER = F(1, 10 ** 40)
+
+
+@st.composite
+def oracle_specs(draw):
+    """Symmetric specs (indicial polynomials and Euler quartics), products of
+    random factors with multiplicities, and pairs of roots 10^-40 apart,
+    about a centre and about no centre."""
+    kind = draw(st.sampled_from(("symmetric", "product", "paired-cluster",
+                                 "cluster")))
+    if kind == "symmetric":
+        return draw(symmetric_specs())
+    if kind == "product":
+        p = RationalPolynomial.one()
+        for _ in range(draw(st.integers(1, 3))):
+            cs = draw(st.lists(_small, min_size=2, max_size=5).filter(
+                lambda cs: cs[-1] != 0))
+            p = p * RationalPolynomial(cs) ** draw(st.integers(1, 2))
+        return p
+    q = draw(_small)
+    if kind == "paired-cluster":
+        w2 = (Z - draw(_small)) ** 2
+        return (w2 - q) * (w2 - q - _CLUSTER) * (w2 + draw(_positive))
+    # the factor z^2 + bz + c with b != 0 breaks the symmetry about 0
+    return ((Z * Z - q) * (Z * Z - q - _CLUSTER)
+            * (Z * Z + draw(_positive) * Z + draw(_small)))
+
+
+def _oracle_roots(p):
+    """(root, multiplicity) for every root of p: mpmath.polyroots at 300 bits
+    on each square-free factor."""
+    import mpmath as mp
+
+    out = []
+    with mp.workprec(300):
+        for f, mult in square_free_decomposition(p):
+            cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(f.coeffs)]
+            roots = mp.polyroots(cs, maxsteps=200, extraprec=300) if f.degree > 1 \
+                else [-cs[1] / cs[0]]
+            out += [(mp.mpc(w), mult) for w in roots]
+    return out
+
+
+class TestPolyrootsOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(oracle_specs())
+    def test_each_disk_holds_its_multiplicity(self, p):
+        import mpmath as mp
+
+        rs = certified_roots(p)
+        oracle = _oracle_roots(p)
+        assert rs.degree == p.degree == sum(m for _, m in oracle)
+        with mp.workprec(300):
+            for r in rs.roots:
+                x = mp.mpc(mp.mpf(r.re.numerator) / r.re.denominator,
+                           mp.mpf(r.im.numerator) / r.im.denominator)
+                reach = mp.mpf(r.radius.numerator) / r.radius.denominator
+                # the coefficients rounded to 300 bits move roots 10^-40
+                # apart by about 2^-166; the pairs stay 2^-135 apart
+                reach += mp.mpf(2) ** -140 * (1 + abs(x))
+                assert sum(m for w, m in oracle if abs(w - x) <= reach) == r.multiplicity
+
+    def test_beyond_the_float_range(self, monkeypatch):
+        # 2 * 10^400 overflows the floats, so there are no float seeds, and
+        # the roots +- sqrt(2) * 10^200 are enclosed without mpmath
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        assert _float_seeds([F(-2 * 10 ** 400), F(1)], [1j], 50) is None
+        rs = certified_roots(Z ** 2 - 2 * 10 ** 400)
+        assert rs.precision_bits == START_BITS
+        assert [r.im for r in rs.roots] == [0, 0]
+        lo, hi = rs.roots
+        assert lo.re == -hi.re and lo.radius == hi.radius
+        assert (hi.re - hi.radius) ** 2 <= 2 * 10 ** 400 <= (hi.re + hi.radius) ** 2
+        assert hi.radius < hi.re / 2 ** 100
