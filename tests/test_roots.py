@@ -632,9 +632,9 @@ def _oracle_roots(p):
     with mp.workprec(300):
         for f, mult in square_free_decomposition(p):
             cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(f.coeffs)]
-            roots = mp.polyroots(cs, maxsteps=200, extraprec=300) if f.degree > 1 \
+            ws = mp.polyroots(cs, maxsteps=200, extraprec=300) if f.degree > 1 \
                 else [-cs[1] / cs[0]]
-            out += [(mp.mpc(w), mult) for w in roots]
+            out += [(mp.mpc(w), mult) for w in ws]
     return out
 
 
