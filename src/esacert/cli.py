@@ -139,8 +139,6 @@ def cmd_region(args, cfg: EngineConfig, echo) -> int:
                                    oracle=region.oracle_checked)))
     else:
         print(rendered)
-        for w in region.warnings:
-            print(f"  warning: {w}")
         if region.oracle_checked:
             print(f"  cross-checked against the {region.oracle_checked} oracle")
     return EXIT_OK

@@ -6,17 +6,18 @@ self-adjoint iff exactly m roots of its indicial polynomial have real part
 multiset is symmetric about m - 1/2, which also makes the ESA set in the
 coupling c closed).
 
-Regions in c are computed exactly:
-
-1. the full Hurwitz determinant det(c) supplies the complete list of
-   boundary candidates (its real roots) - a root can reach the line
-   Re z = -1/2 only where det vanishes;
-2. every open interval between consecutive candidates carries a constant
-   verdict, decided at one small-denominator rational sample point;
-3. rational candidates are decided exactly at the candidate itself;
-   irrational candidates adjacent to an ESA interval are included because
-   the ESA set is closed; irrational candidates with non-ESA on both sides
-   are reported as indeterminate isolated points rather than guessed.
+Regions in c come from one sweep over the crossings of the line.  In
+w = z + 1/2 the centered polynomial is E0(w^2) + w O(w^2) + c, so a root
+lies on Re w = 0 only at c = r = -E0(0) (the root w = 0, moving left as c
+grows iff O(0) > 0) and at c = -E0(u) for each negative root u of O (the
+pair w = +-i sqrt(-u), moving left iff O'(u) < 0), by dw/dc = -1/f'(w).
+O(0) = 0 or O'(u) = 0 is a tangential contact: TangentialCrossingError.
+Each crossing is a real root of the Hurwitz determinant det(c) (Orlando),
+that is a boundary candidate.  With left(c) the roots strictly left of the
+line and inc / dec those crossing leftward / rightward at a candidate c*,
+c* is in the region iff left(c*+) + dec = m, and the cell below has
+left(c*+) - inc + dec; the sweep runs down from one exact count above the
+candidates and is checked by one exact count below them.
 
 Closed-form oracles cover m <= 3 and the tenth-order operator in dimension
 20; the engine cross-checks against them wherever they apply.
@@ -26,13 +27,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import (AlgebraicReal, as_fraction, exact_real_roots,
-                    simplest_between, value_compare)
+from .exact import (AlgebraicReal, RationalPolynomial, as_fraction,
+                    count_real_roots, exact_real_roots, poly_gcd,
+                    value_compare)
 from .indicial import IndicialSpec, build_indicial
 from .stability import (HalfPlaneCount, HurwitzData, axis_roots_exact,
                         halfplane_count, hurwitz_assemble)
@@ -190,7 +192,6 @@ class EsaRegion:
     l: Optional[int] = None            # set for radial regions
     certified_up_to_l: Optional[int] = None  # set for full-operator regions
     oracle_checked: Optional[str] = None     # "closed-form" when cross-validated
-    warnings: list = field(default_factory=list)
 
     def contains(self, c) -> bool:
         return any(p.contains(as_fraction(c)) for p in self.pieces)
@@ -214,7 +215,7 @@ class EsaRegion:
             "n": self.n,
             "pieces": [p.to_json() for p in self.pieces],
             "boundary_candidates": [value_to_json(v) for v in self.boundary_candidates],
-            "warnings": list(self.warnings),
+            "warnings": [],
         }
         if self.l is not None:
             out["l"] = self.l
@@ -224,59 +225,90 @@ class EsaRegion:
         return out
 
 
-def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
-    """Exact ESA region in c for one radial operator.
+class TangentialCrossingError(ArithmeticError):
+    """A root touches the line Re z = -1/2 without crossing it to first
+    order (O(0) = 0, or O'(u) = 0 at a negative root u of the odd part), so
+    the crossing sweep cannot tell on which side it goes on."""
 
-    Between consecutive real roots of the Hurwitz determinant the verdict is
-    constant (a root can only reach the decision line where the determinant
-    vanishes), so one exact decision per gap suffices.
+
+def _horner_range(p: RationalPolynomial, lo: Fraction, hi: Fraction) -> tuple:
+    """(a, b) with a <= p(x) <= b for every x in [lo, hi], by interval Horner."""
+    a = b = Fraction(0)
+    for c in reversed(p.coeffs):
+        ends = (a * lo, a * hi, b * lo, b * hi)
+        a, b = min(ends) + c, max(ends) + c
+    return a, b
+
+
+def _crossings(hd: HurwitzData, bounds: list) -> list:
+    """[inc, dec] per boundary candidate, given their isolating intervals
+    `bounds` (sorted, disjoint; a point for a rational one).  The crossing
+    at -E0(u) lies in exactly one of them; u, a root of O that is never
+    printed, is refined until the range of -E0 over it meets only that one.
     """
+    even, odd = hd.shifted_base.even_odd_split()
+    slope = odd.derivative()
+    if odd.coefficient(0) == 0 or count_real_roots(poly_gcd(odd, slope), hi=0):
+        raise TangentialCrossingError(
+            f"a root touches Re z = -1/2 without crossing it (m={hd.m}, nu={hd.nu})")
+
+    def slot(lo: Fraction, hi: Fraction):
+        hits = [i for i, (a, b) in enumerate(bounds) if a <= hi and lo <= b]
+        if not hits:
+            raise AssertionError("a crossing coupling is not a root of det_in_c")
+        return hits[0] if len(hits) == 1 else None
+
+    moves = [[0, 0] for _ in bounds]
+    moves[slot(hd.linear_root, hd.linear_root)][odd.coefficient(0) < 0] += 1
+    for u in exact_real_roots(odd):
+        if value_compare(u, 0) >= 0:
+            break
+        while True:
+            lo, hi = u.interval if isinstance(u, AlgebraicReal) else (u, u)
+            e_lo, e_hi = _horner_range(even, lo, hi)
+            s_lo, s_hi = _horner_range(slope, lo, hi)
+            i = slot(-e_hi, -e_lo)
+            if i is not None and (s_lo > 0 or s_hi < 0):
+                break
+            u.refine((hi - lo) / 4)
+        moves[i][s_lo > 0] += 2
+    return moves
+
+
+def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
+    """Exact ESA region in c for one radial operator, by the crossing sweep
+    of the module docstring: two exact counts, whatever the candidates."""
     hd = _hurwitz_cached(m, n, l)
-    candidates = exact_real_roots(hd.det_in_c)
+    candidates = exact_real_roots(hd.det_in_c)   # never empty: r is one
     bounds = [v.interval if isinstance(v, AlgebraicReal) else (v, v)
               for v in candidates]
     if any(a[1] >= b[0] for a, b in zip(bounds, bounds[1:])):
         raise AssertionError("exact_real_roots returned overlapping intervals")
+    moves = _crossings(hd, bounds)
 
-    def decide(c: Fraction) -> bool:
-        return esa_decide_radial(IndicialSpec(m=m, n=n, l=l, c=c),
-                                 with_certificate=False).is_esa
+    def left_at(c) -> int:
+        spec = IndicialSpec(m=m, n=n, l=l, c=Fraction(c))
+        return halfplane_count(build_indicial(spec)).left
 
-    # one sample per open gap, plus the two unbounded gaps
-    k = len(candidates)
-    samples = []
-    lo_edge = math.floor(bounds[0][0]) - 1 if k else Fraction(0)
-    samples.append(as_fraction(lo_edge))
-    for i in range(k - 1):
-        gap_lo, gap_hi = bounds[i][1], bounds[i + 1][0]
-        width = gap_hi - gap_lo
-        samples.append(simplest_between(gap_lo + width / 8, gap_hi - width / 8))
-    if k:
-        samples.append(as_fraction(math.ceil(bounds[k - 1][1]) + 1))
-    cell_esa = [decide(s) for s in samples]
-
-    if cell_esa[0]:
-        raise AssertionError("ESA reported in the c -> -infinity cell")
-    if not cell_esa[-1]:
+    left = left_at(math.ceil(bounds[-1][1]) + 1)
+    if left != m:
         raise AssertionError("non-ESA reported in the c -> +infinity cell")
-
-    # candidate membership: exact decision at rational candidates,
-    # closedness of the ESA set at irrational ones
-    member = []
-    warnings = []
-    for i, v in enumerate(candidates):
-        adjacent = cell_esa[i] or cell_esa[i + 1]
-        if isinstance(v, AlgebraicReal):
-            member.append(adjacent)
-            if not adjacent:
-                warnings.append(
-                    f"indeterminate isolated boundary candidate near {v.decimal(8)}")
-        else:
-            is_in = decide(v)
-            if adjacent and not is_in:
-                raise AssertionError("boundary candidate adjacent to an ESA interval "
-                                     "must satisfy the criterion (closedness)")
-            member.append(is_in)
+    cell_esa, member = [True], []
+    for inc, dec in reversed(moves):
+        if left + dec > m:
+            raise AssertionError("more than m roots weakly left of the line; "
+                                 "pairing symmetry violated")
+        member.append(left + dec == m)
+        left += dec - inc
+        cell_esa.append(left == m)
+    if left != left_at(math.floor(bounds[0][0]) - 1):
+        raise AssertionError("crossing sweep disagrees with the count below "
+                             "the boundary candidates")
+    if left == m:
+        raise AssertionError("ESA reported in the c -> -infinity cell")
+    cell_esa.reverse()
+    member.reverse()
+    k = len(candidates)
 
     pieces = []
     i = 0
@@ -294,7 +326,7 @@ def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
         hi = POS_INF if i == k + 1 else candidates[i - 1]
         pieces.append(RegionPiece(lo=lo, hi=hi))
     return EsaRegion(m=m, n=n, l=l, pieces=pieces,
-                     boundary_candidates=candidates, warnings=warnings)
+                     boundary_candidates=candidates)
 
 
 # -- thresholds ------------------------------------------------------------------
@@ -347,13 +379,11 @@ def esa_region_full(m: int, n: int, l_max: int = 50, map=map) -> EsaRegion:
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     pieces = None
-    all_warnings = []
     for region in map(functools.partial(esa_region_radial, m, n), range(l_max + 1)):
-        all_warnings.extend(region.warnings)
         pieces = list(region.pieces) if pieces is None \
             else intersect_pieces(pieces, region.pieces)
     result = EsaRegion(m=m, n=n, pieces=pieces, boundary_candidates=[],
-                       certified_up_to_l=l_max, warnings=all_warnings)
+                       certified_up_to_l=l_max)
     oracle = oracle_threshold(m, n)
     if oracle is not None:
         if not result.equals(oracle):

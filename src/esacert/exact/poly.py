@@ -27,8 +27,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, strings and Fractions to Fraction (floats are rejected)."""
@@ -283,33 +281,26 @@ class RationalPolynomial:
 # -- module-level helpers -----------------------------------------------------
 
 
-def _int_coeffs(p: RationalPolynomial) -> list:
-    """Clear denominators; returns integer coefficient list (ascending)."""
-    if p.is_zero:
-        return []
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in p.coeffs]
+def clear_denominators(coeffs: Sequence) -> tuple:
+    """(the integers d*c, d) for the least common denominator d of the
+    rationals `coeffs`, order kept."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _primitive_int(cs: list) -> list:
-    """Divide an integer coefficient list by its positive content."""
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            break
-    if g > 1:
-        cs = [c // g for c in cs]
-    return cs
+def primitive_coeffs(coeffs: Sequence) -> list:
+    """The rationals `coeffs` times the positive rational that makes them
+    coprime integers, order kept."""
+    ints = clear_denominators(coeffs)[0]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 def primitive_part(p: RationalPolynomial) -> RationalPolynomial:
     """Integer-coefficient polynomial equal to p up to a positive rational factor."""
     if p.is_zero:
         return p
-    return RationalPolynomial(_primitive_int(_int_coeffs(p)))
+    return RationalPolynomial(primitive_coeffs(p.coeffs))
 
 
 def _sign_at(int_coeffs: list, num: int, den: int) -> int:
@@ -395,17 +386,17 @@ def _signed_remainder_chain(a: RationalPolynomial, b: RationalPolynomial) -> lis
     the sign pattern of the canonical sequence while bounding coefficient
     growth.  The last entry is a gcd of a and b.
     """
-    chain = [_primitive_int(_int_coeffs(a))]
+    chain = [primitive_coeffs(a.coeffs)]
     if b.is_zero:
         return chain
-    chain.append(_primitive_int(_int_coeffs(b)))
+    chain.append(primitive_coeffs(b.coeffs))
     a = RationalPolynomial(chain[0])
     b = RationalPolynomial(chain[1])
     while b.degree > 0:
         r = a % b
         if r.is_zero:
             break
-        chain.append(_primitive_int(_int_coeffs(-r)))
+        chain.append(primitive_coeffs((-r).coeffs))
         a, b = b, RationalPolynomial(chain[-1])
     return chain
 
@@ -466,11 +457,6 @@ def gcd_and_cauchy_index(a: RationalPolynomial, b: RationalPolynomial) -> tuple:
     return (RationalPolynomial(chain[-1]).monic(),
             _chain_variations_at_inf(chain, positive=False)
             - _chain_variations_at_inf(chain, positive=True))
-
-
-def cauchy_index(a: RationalPolynomial, b: RationalPolynomial) -> int:
-    """Ind(b/a) over the whole real line, exactly; see `gcd_and_cauchy_index`."""
-    return gcd_and_cauchy_index(a, b)[1]
 
 
 def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
@@ -550,7 +536,7 @@ def refine_isolating_interval(p: RationalPolynomial, lo: Fraction, hi: Fraction,
     """
     if lo == hi:
         return lo, hi
-    ic = _primitive_int(_int_coeffs(p))
+    ic = primitive_coeffs(p.coeffs)
     slo = _sign_at(ic, lo.numerator, lo.denominator)
     while hi - lo > max_width:
         mid = (lo + hi) / 2
@@ -641,19 +627,11 @@ def bareiss_det(rows: list) -> int:
 
 def det_fractions(rows: list) -> Fraction:
     """Exact determinant of a square matrix of Fractions."""
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return Fraction(1)
-    int_rows = []
-    scale = Fraction(1)
-    for row in rows:
-        den = 1
-        for c in row:
-            c = as_fraction(c)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        int_rows.append([int(as_fraction(c) * den) for c in row])
-        scale *= den
-    return Fraction(bareiss_det(int_rows)) / scale
+    rows = [clear_denominators([as_fraction(c) for c in row]) for row in rows]
+    return Fraction(bareiss_det([ints for ints, _ in rows]),
+                    math.prod(den for _, den in rows))
 
 
 def char_poly(rows: list) -> RationalPolynomial:
@@ -691,10 +669,8 @@ def resultant(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:
     if n == 0:
         return q.coeffs[0] ** m
     size = m + n
-    dp = math.lcm(*(c.denominator for c in p.coeffs))
-    dq = math.lcm(*(c.denominator for c in q.coeffs))
-    pd = [c.numerator * (dp // c.denominator) for c in reversed(p.coeffs)]
-    qd = [c.numerator * (dq // c.denominator) for c in reversed(q.coeffs)]
+    pd, dp = clear_denominators(p.descending())
+    qd, dq = clear_denominators(q.descending())
     rows = [[0] * i + pd + [0] * (size - m - 1 - i) for i in range(n)]
     rows += [[0] * i + qd + [0] * (size - n - 1 - i) for i in range(m)]
     return Fraction(bareiss_det(rows), dp ** n * dq ** m)
@@ -746,7 +722,7 @@ def rational_roots(p: RationalPolynomial, intervals=None) -> list:
     """
     if p.degree < 1:
         return []
-    lc = abs(_primitive_int(_int_coeffs(p))[-1])
+    lc = abs(primitive_coeffs(p.coeffs)[-1])
     out = []
     if intervals is None:
         intervals = isolate_real_roots(p)

@@ -50,6 +50,7 @@ from typing import Callable, Sequence
 
 from .exact import (RationalPolynomial, as_fraction, rational_roots,
                     rational_sqrt, real_root_factors)
+from .exact.poly import primitive_coeffs
 
 START_BITS = 128   # first working precision of every numeric root computation
 MAX_BITS = 4096    # certified_roots gives up beyond this precision
@@ -301,15 +302,6 @@ def _dyadic(re: Fraction, im: Fraction) -> tuple:
             im.numerator << (k + 1 - im.denominator.bit_length()), -k)
 
 
-def _integer_coeffs(coeffs: Sequence[Fraction]) -> list:
-    """The coefficients, descending, of the primitive integer polynomial that
-    is a rational multiple of the one with ascending coefficients `coeffs`."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
-
-
 def _horner(desc: Sequence[int], a: int, b: int, s: int) -> tuple:
     """(Re, Im) of H = s^d F(x) and of H' = s^(d-1) F'(x) at x = (a + ib)/s,
     for F of degree d with integer coefficients `desc` (descending), by
@@ -415,7 +407,7 @@ def _aberth(coeffs: Sequence[Fraction], prec_bits: int,
             t2 = t / math.log(2)
             e = math.floor(t2)
             z.append(_from_complex(2.0 ** (t2 - e) * cmath.exp(1j * phi), e))
-    desc = _integer_coeffs(coeffs)
+    desc = primitive_coeffs(coeffs[::-1])
     # centers only need to be good enough for the exact certificates to
     # separate; three quarters of the working precision leaves ample slack
     tol_bits = 3 * prec_bits // 4
@@ -552,7 +544,7 @@ def _certify(f: RationalPolynomial, centers: list):
     Fraction at the end.
     """
     d = f.degree
-    desc = _integer_coeffs(f.coeffs)
+    desc = primitive_coeffs(f.descending())
     radii = []
     for re, im in centers:
         s = math.lcm(re.denominator, im.denominator)

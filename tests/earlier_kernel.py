@@ -1,21 +1,33 @@
-"""The exact kernel's orchestration as it was before one signed remainder
-sequence served each polynomial pair, kept as a test oracle.
+"""Earlier orchestrations of the exact kernel and of the radial regions,
+kept as test oracles.
 
-Only the orchestration is copied: the Fraction Euclid gcd, the Yun
-decomposition, real-root count and half-plane count built on it (the count
-builds the sequence of (P, Q) once for the gcd and once more for the Cauchy
-index), and `exact_real_roots` with its own decomposition-and-isolation
-loop.  The primitives they call (Sturm chains, isolation, rational roots,
-Cauchy index, the critical-line split) are the kernel's own.
+The kernel's orchestration as it was before one signed remainder sequence
+served each polynomial pair.  Only the orchestration is copied: the Fraction
+Euclid gcd, the Yun decomposition, real-root count and half-plane count
+built on it (the count builds the sequence of (P, Q) once for the gcd and
+once more for the Cauchy index), and `exact_real_roots` with its own
+decomposition-and-isolation loop.  The primitives they call (Sturm chains,
+isolation, rational roots, Cauchy index, the critical-line split) are the
+kernel's own.
+
+The radial region as it was before the crossing sweep: one exact decision
+at a simple rational inside every gap between boundary candidates and at
+every rational candidate.  An irrational candidate with non-ESA gaps on
+both sides is left undecided there.
 """
 
 import functools
+import math
+from fractions import Fraction
 
-from esacert.exact import (AlgebraicReal, RationalPolynomial, cauchy_index,
-                           isolate_real_roots, primitive_part, rational_roots,
+from esacert import esa
+from esacert.exact import (AlgebraicReal, RationalPolynomial,
+                           gcd_and_cauchy_index, isolate_real_roots,
+                           primitive_part, rational_roots, simplest_between,
                            value_compare)
 from esacert.exact.poly import (_chain_variations_at, _chain_variations_at_inf,
                                 sturm_chain)
+from esacert.indicial import IndicialSpec
 from esacert.stability import critical_line_parts
 
 
@@ -81,7 +93,8 @@ def _count_square_free(f):
     g = poly_gcd(P, Q)
     axis = count_real_roots(g)
     pairs = (g.degree - axis) // 2
-    diff = -cauchy_index(P, Q) if P.degree >= Q.degree else cauchy_index(Q, P)
+    diff = -gcd_and_cauchy_index(P, Q)[1] if P.degree >= Q.degree \
+        else gcd_and_cauchy_index(Q, P)[1]
     rest = f.degree - g.degree
     return pairs + (rest + diff) // 2, axis, pairs + (rest - diff) // 2
 
@@ -109,3 +122,50 @@ def exact_real_roots(p):
                        for lo, hi in isolate_real_roots(g))
     out.sort(key=functools.cmp_to_key(value_compare))
     return out
+
+
+def sampled_region(m, n, l):
+    """(candidates, membership per candidate, pieces) of the radial region;
+    the membership is None where an irrational candidate has non-ESA gaps
+    on both sides."""
+    candidates = esa.exact_real_roots(esa._hurwitz_cached(m, n, l).det_in_c)
+    bounds = [v.interval if isinstance(v, AlgebraicReal) else (v, v)
+              for v in candidates]
+
+    def decide(c):
+        return esa.esa_decide_radial(IndicialSpec(m=m, n=n, l=l, c=c),
+                                     with_certificate=False).is_esa
+
+    k = len(candidates)
+    samples = [Fraction(math.floor(bounds[0][0]) - 1)]
+    for (_, gap_lo), (gap_hi, _) in zip(bounds, bounds[1:]):
+        width = gap_hi - gap_lo
+        samples.append(simplest_between(gap_lo + width / 8, gap_hi - width / 8))
+    samples.append(Fraction(math.ceil(bounds[-1][1]) + 1))
+    cell_esa = [decide(s) for s in samples]
+    assert not cell_esa[0] and cell_esa[-1]
+
+    member = []
+    for i, v in enumerate(candidates):
+        adjacent = cell_esa[i] or cell_esa[i + 1]
+        if isinstance(v, AlgebraicReal):
+            member.append(True if adjacent else None)
+        else:
+            is_in = decide(v)
+            assert is_in or not adjacent, "closedness"
+            member.append(is_in)
+
+    pieces = []
+    i = 0
+    while i <= k:
+        if not cell_esa[i]:
+            if i < k and member[i] and not cell_esa[i + 1]:
+                pieces.append(esa.RegionPiece(lo=candidates[i], hi=candidates[i]))
+            i += 1
+            continue
+        run_start = i
+        while i <= k and cell_esa[i]:
+            i += 1
+        hi = esa.POS_INF if i == k + 1 else candidates[i - 1]
+        pieces.append(esa.RegionPiece(lo=candidates[run_start - 1], hi=hi))
+    return candidates, member, pieces

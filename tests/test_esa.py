@@ -1,19 +1,24 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from esacert import golden
-from esacert.esa import (POS_INF, EsaRegion, RegionPiece, Verdict,
+import earlier_kernel
+from esacert import esa, golden
+from esacert.esa import (POS_INF, EsaRegion, RegionPiece,
+                         TangentialCrossingError, Verdict,
                          conjecture_explore, esa_decide_radial,
                          esa_region_full, esa_region_radial,
                          euler_esa_closed_form, gamma2_closed_form,
                          gamma3_closed_form, gamma_threshold,
                          intersect_pieces, oracle_threshold,
-                         power_zero_coupling, value_cmp)
-from esacert.exact import AlgebraicReal
+                         power_zero_coupling, value_cmp, value_eq)
+from esacert.exact import AlgebraicReal, RationalPolynomial, simplest_between
 from esacert.indicial import IndicialSpec
-from esacert.stability import halfplane_count, hurwitz_assemble
+from esacert.stability import HurwitzData, halfplane_count, hurwitz_assemble
 from esacert.indicial import build_indicial, euler_quartic
 from conftest import rand_fraction
 
@@ -83,14 +88,34 @@ class TestRadialRegions:
         assert isinstance(second.lo, AlgebraicReal) and second.lo.equals(gamma)
         assert second.hi is POS_INF
 
-    def test_region_membership_consistent_with_decide(self, rng):
-        for n in (3, 8):
-            region = esa_region_radial(2, n, 0)
-            for _ in range(8):
-                c = rand_fraction(rng, -120, 120, 4)
-                v = esa_decide_radial(IndicialSpec(2, n, 0, c),
-                                      with_certificate=False)
-                assert region.contains(c) == v.is_esa
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(2, 30), st.integers(0, 14))
+    def test_region_membership_consistent_with_decide(self, m, nu, l):
+        l = min(l, (nu - 2) // 2)
+        n = nu - 2 * l
+        region = esa_region_radial(m, n, l)
+        pieces, candidates = region.pieces, region.boundary_candidates
+        # sorted, disjoint, closed; the -inf cell is non-ESA and the last
+        # piece unbounded
+        assert pieces and pieces[-1].hi is POS_INF
+        for p in pieces:
+            assert p.lo is not POS_INF
+            assert p.hi is POS_INF or value_cmp(p.lo, p.hi) <= 0
+        for a, b in zip(pieces, pieces[1:]):
+            assert value_cmp(a.hi, b.lo) < 0
+        ends = [p.lo for p in pieces] + [p.hi for p in pieces[:-1]]
+        assert all(any(value_eq(e, v) for v in candidates) for e in ends)
+        # the verdict at one rational in each gap and at each rational
+        # candidate
+        bounds = [v.interval if isinstance(v, AlgebraicReal) else (v, v)
+                  for v in candidates]
+        points = [F(math.floor(bounds[0][0]) - 1), F(math.ceil(bounds[-1][1]) + 1)]
+        points += [simplest_between(a[1] + (b[0] - a[1]) / 8, b[0] - (b[0] - a[1]) / 8)
+                   for a, b in zip(bounds, bounds[1:])]
+        points += [v for v in candidates if isinstance(v, F)]
+        for c in points:
+            v = esa_decide_radial(IndicialSpec(m, n, l, c), with_certificate=False)
+            assert region.contains(c) == v.is_esa
 
     def test_boundary_candidates_are_determinant_roots(self):
         region = esa_region_radial(2, 6, 0)
@@ -100,6 +125,65 @@ class TestRadialRegions:
                 assert v.is_rational and det(v.rational_value) == 0
             else:
                 assert det(v) == 0
+
+
+class TestCrossingSweep:
+    def test_matches_sampled_regions(self):
+        # the earlier per-gap sampling as a differential oracle: same pieces,
+        # and the same membership wherever the oracle can decide it
+        for m in range(1, 6):
+            for nu in range(2, 41):
+                region = esa_region_radial(m, nu, 0)
+                candidates, member, pieces = earlier_kernel.sampled_region(m, nu, 0)
+                assert len(candidates) == len(region.boundary_candidates)
+                assert region.equals(EsaRegion(m=m, n=nu, pieces=pieces,
+                                               boundary_candidates=candidates))
+                for v, want in zip(region.boundary_candidates, member):
+                    if want is not None:
+                        assert any(p.contains(v) for p in region.pieces) == want
+
+    def test_zero_slope_at_the_origin_raises(self, monkeypatch):
+        # O(v) = v: the root at w = 0 is double at c = r
+        even, odd = RationalPolynomial([1, 0, 1]), RationalPolynomial([0, 1])
+        hd = HurwitzData(m=2, nu=0,
+                         shifted_base=RationalPolynomial([1, 0, 0, 1, 1]),
+                         det_in_c=RationalPolynomial([1, 2, 1]),
+                         linear_root=F(-1), q_factor=RationalPolynomial([1, 1]))
+        assert hd.shifted_base.even_odd_split() == (even, odd)
+        monkeypatch.setattr(esa, "_hurwitz_cached", lambda *args: hd)
+        with pytest.raises(TangentialCrossingError):
+            esa_region_radial(2, 2, 0)
+
+    def test_double_negative_root_of_the_odd_part_raises(self, monkeypatch):
+        # O(v) = (v + 1)^2: the pair w = +-i touches the line at c = 1
+        even, odd = RationalPolynomial([0, 0, 0, 1]), RationalPolynomial([1, 2, 1])
+        hd = HurwitzData(m=3, nu=0,
+                         shifted_base=RationalPolynomial([0, 1, 0, 2, 0, 1, 1]),
+                         det_in_c=RationalPolynomial([0, 1, -2, 1]),
+                         linear_root=F(0), q_factor=RationalPolynomial([1, -2, 1]))
+        assert hd.shifted_base.even_odd_split() == (even, odd)
+        monkeypatch.setattr(esa, "_hurwitz_cached", lambda *args: hd)
+        with pytest.raises(TangentialCrossingError):
+            esa_region_radial(3, 2, 0)
+
+    def test_coincident_crossings_leave_an_isolated_point(self, monkeypatch):
+        # at (3, 3, 0) the left count runs 3 -> 1 -> 0 -> 2 down past the
+        # candidates 36201.2, 10395/64, -693.02; moving the rightward pair of
+        # -693.02 up to 10395/64 keeps the end counts and puts m = 3 roots
+        # weakly left at that point only
+        assert esa_region_radial(3, 3, 0).render() == "[36201.2, ∞)"
+        monkeypatch.setattr(esa, "_crossings",
+                            lambda hd, bounds: [[0, 0], [1, 2], [2, 0]])
+        assert esa_region_radial(3, 3, 0).render() == "{10395/64} ∪ [36201.2, ∞)"
+
+    def test_two_counts_per_region(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(esa, "halfplane_count",
+                            lambda p: calls.append(p) or halfplane_count(p))
+        for m, n, l in ((5, 20, 0), (3, 3, 0), (6, 25, 1)):
+            calls.clear()
+            esa_region_radial(m, n, l)
+            assert len(calls) == 2
 
 
 class TestGammaThreshold:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esacert.exact import (RationalPolynomial, bareiss_det, cauchy_index,
+from esacert.exact import (RationalPolynomial, bareiss_det,
                            cauchy_root_bound, char_poly, count_real_roots,
-                           det_fractions,
-                           discriminant, isolate_real_roots,
+                           det_fractions, discriminant,
+                           gcd_and_cauchy_index, isolate_real_roots,
                            poly_gcd, rational_roots,
                            refine_isolating_interval, resultant,
                            simplest_between, square_free_decomposition,
@@ -197,31 +197,32 @@ class TestSturm:
 class TestCauchyIndex:
     def test_simple_poles(self):
         # 1/z jumps from -inf to +inf at 0; -1/z the other way
-        assert cauchy_index(Z, RationalPolynomial.one()) == 1
-        assert cauchy_index(Z, RationalPolynomial.constant(-1)) == -1
+        assert gcd_and_cauchy_index(Z, RationalPolynomial.one())[1] == 1
+        assert gcd_and_cauchy_index(Z, RationalPolynomial.constant(-1))[1] == -1
         # 1/z^2 has a pole without a jump
-        assert cauchy_index(Z * Z, RationalPolynomial.one()) == 0
+        assert gcd_and_cauchy_index(Z * Z, RationalPolynomial.one())[1] == 0
 
     def test_derivative_quotient_counts_real_roots(self, rng):
         for _ in range(30):
             p = rand_poly(rng, rng.randint(1, 7))
-            assert cauchy_index(p, p.derivative()) == count_real_roots(p)
+            assert gcd_and_cauchy_index(p, p.derivative())[1] == count_real_roots(p)
 
     def test_common_factor_cancels(self, rng):
         for _ in range(20):
             a = rand_poly(rng, rng.randint(1, 5))
             b = rand_poly(rng, rng.randint(0, 4))
             g = Z - rand_fraction(rng)
-            assert cauchy_index(a * g, b * g) == cauchy_index(a, b)
+            assert gcd_and_cauchy_index(a * g, b * g)[1] == \
+                gcd_and_cauchy_index(a, b)[1]
 
     def test_numerator_of_higher_degree(self):
         # (z^2 + 1)/z = z + 1/z: same jump at 0 as 1/z
-        assert cauchy_index(Z, Z * Z + 1) == 1
+        assert gcd_and_cauchy_index(Z, Z * Z + 1)[1] == 1
 
     def test_zero_numerator_and_denominator(self):
-        assert cauchy_index(Z ** 3 - Z, RationalPolynomial.zero()) == 0
+        assert gcd_and_cauchy_index(Z ** 3 - Z, RationalPolynomial.zero())[1] == 0
         with pytest.raises(ValueError):
-            cauchy_index(RationalPolynomial.zero(), Z)
+            gcd_and_cauchy_index(RationalPolynomial.zero(), Z)
 
 
 @st.composite
