@@ -634,11 +634,11 @@ def det_fractions(rows: list) -> Fraction:
                     math.prod(den for _, den in rows))
 
 
-def char_poly(rows: list) -> RationalPolynomial:
-    """det(x I - A) of a square matrix, by Berkowitz's division-free
+def char_poly_coeffs(rows: list) -> list:
+    """Ascending coefficients of det(x I - A), by Berkowitz's division-free
     algorithm (exact, O(n^4) ring operations).  The entries may be ints or
-    Fractions: only ring operations are used, so an integer matrix is
-    handled in integers throughout."""
+    Fractions: only ring operations are used, so an integer matrix gives
+    ints throughout."""
     desc = [1]  # descending coefficients for the empty leading block
     for r in range(len(rows)):
         # with A_r the leading r x r block, R = A[r][:r] and S = A[:r][r], the
@@ -651,7 +651,13 @@ def char_poly(rows: list) -> RationalPolynomial:
             x = [sum(a * b for a, b in zip(rows[i][:r], x)) for i in range(r)]
         desc = [sum(col[i - j] * desc[j] for j in range(min(i, r) + 1))
                 for i in range(r + 2)]
-    return RationalPolynomial(reversed(desc))
+    return desc[::-1]
+
+
+def char_poly(rows: list) -> RationalPolynomial:
+    """det(x I - A) of a square matrix of ints or Fractions
+    (char_poly_coeffs)."""
+    return RationalPolynomial(char_poly_coeffs(rows))
 
 
 def resultant(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:

@@ -127,12 +127,10 @@ def build_indicial(spec: IndicialSpec) -> RationalPolynomial:
 
 
 def euler_quartic(c1, c2) -> RationalPolynomial:
-    """Indicial quartic z(z-1)(z-2)(z-3) + c1 [z(z-1) + (z-2)(z-3)] + c2."""
+    """Indicial quartic z(z-1)(z-2)(z-3) + c1 [z(z-1) + (z-2)(z-3)] + c2,
+    expanded: z^4 - 6z^3 + (11 + 2c1) z^2 - (6 + 6c1) z + 6c1 + c2."""
     c1, c2 = as_fraction(c1), as_fraction(c2)
-    z = RationalPolynomial.variable()
-    base = z * (z - 1) * (z - 2) * (z - 3)
-    mid = z * (z - 1) + (z - 2) * (z - 3)
-    return base + mid * c1 + RationalPolynomial.constant(c2)
+    return RationalPolynomial((6 * c1 + c2, -6 - 6 * c1, 11 + 2 * c1, -6, 1))
 
 
 def _principal_sqrt_exact_real(q: Fraction, ctx):

@@ -31,9 +31,14 @@ parts of the centered polynomial (see hurwitz_assemble).  It is built in
 integers: the centered polynomial is (-1)^m 4^-m times an integer
 polynomial A, the substitution u = v/a (a the leading coefficient of A's
 odd part) makes that odd part monic, and the cofactor is the integer
-Berkowitz characteristic polynomial of a multiplication matrix over Z,
-scaled into Fractions once at the end.  The 2m x 2m matrix is only
-evaluated once, at one rational c, as a check, by integer Bareiss.
+Berkowitz characteristic polynomial of a multiplication matrix over Z.
+Its coefficients are kept as integer numerators over one common
+denominator, the determinant in c is their product with the integer
+numerators of c - r, and each coefficient becomes one Fraction at the end.
+The 2m x 2m matrix is only evaluated once, at one rational c, as a check:
+its integer Bareiss determinant is compared, in integers, with an integer
+Horner value of the cofactor.  The quartic invariants (quartic_classify)
+and disc_q3 are likewise taken on cleared integer coefficients.
 """
 
 from __future__ import annotations
@@ -42,10 +47,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from .exact import (AlgebraicReal, RationalPolynomial, bareiss_det,
-                    char_poly, count_real_roots, discriminant,
-                    exact_real_roots, gcd_and_cauchy_index, poly_gcd,
-                    real_root_factors, square_free_decomposition)
-from .indicial import euler_quartic, indicial_product, indicial_scale
+                    char_poly_coeffs, count_real_roots, exact_real_roots,
+                    gcd_and_cauchy_index, poly_gcd, real_root_factors,
+                    square_free_decomposition)
+from .exact.poly import clear_denominators
+from .indicial import euler_quartic, indicial_product
 
 CRITICAL_RE = Fraction(-1, 2)
 
@@ -59,11 +65,8 @@ def hurwitz_matrix(descending_coeffs) -> list:
     Entry (i, j) (1-based) is a_{2j-i}, and 0 outside 0..n.
     """
     n = len(descending_coeffs) - 1
-
-    def a(k: int):
-        return descending_coeffs[k] if 0 <= k <= n else 0
-
-    return [[a(2 * j - i) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    padded = [0] * n + list(descending_coeffs) + [0] * n   # a_k at k + n
+    return [padded[n + 2 - i:3 * n + 1 - i:2] for i in range(1, n + 1)]
 
 
 def euler_hurwitz_matrix(c1, c2) -> list:
@@ -126,18 +129,24 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
     Z[v]/(Ao~) is an integer (m-1) x (m-1) matrix N, chi(X) = det(X I + N)
     comes from the integer Berkowitz, and
 
-        q_factor(c) = (-1)^(m(m-1)/2) s^(2m-1) a^(m-m(m-1)) chi(a^m c / s),
+        q_factor(c) = (-1)^(m(m-1)/2) s^(2m-1) a^(m-m(m-1)) chi(a^m c / s).
 
-    the one step taken in Fractions.  One probe compares det_in_c at
-    c = r + 1 with the integer Bareiss determinant of the 2m x 2m Hurwitz
-    matrix of (-1)^m (A - A(0)) + 4^m, which is 4^(2m^2) times the numeric
+    Its coefficient k, (-1)^(m(m-1)/2) s^(2m-1-k) a^(m(k-m+2)) chi_k, is
+    kept as an integer numerator over the one denominator
+    D = 4^(m(2m-1)) |a|^e, e = max(0, m(m-2)) (for m = 1 the power of a is
+    positive), and det_in_c = (c - r) q_factor is the product of two
+    integer lists over 4^m D.  Each coefficient becomes one Fraction at
+    the end.  One probe compares q_factor(r + 1) = det_in_c(r + 1), as an
+    integer Horner value cross-multiplied with its denominator, with the
+    integer Bareiss determinant of the 2m x 2m Hurwitz matrix of
+    (-1)^m (A - A(0)) + 4^m, which is 4^(2m^2) times the numeric
     determinant there; a mismatch is a construction bug and raises
     AssertionError.
     """
     nu = n + 2 * l
     big_a = indicial_product(m, nu, CRITICAL_RE)
-    s = indicial_scale(m)
-    shifted = RationalPolynomial(big_a) * s
+    sign, four_m = (-1) ** m, 4 ** m
+    shifted = RationalPolynomial(Fraction(sign * c, four_m) for c in big_a)
     a_even, a_odd = big_a[0::2], big_a[1::2]
     a = a_odd[-1]
     # Ao~, and -Ae~ mod Ao~: the coefficient of v^k of Ao (of Ae) times
@@ -148,15 +157,34 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
     for _ in range(m - 1):
         cols.append(col)
         col = _reduce_monic([0] + col, mod)
-    chi = char_poly([list(row) for row in zip(*cols)])   # det(X I + N)
-    q_factor = RationalPolynomial(
-        _orlando_sign(m) * x * s ** (2 * m - 1 - k) * Fraction(a) ** (m * (k - m + 2))
-        for k, x in enumerate(chi.coeffs))
-    linear_root = -shifted(Fraction(0))
-    det = RationalPolynomial((-linear_root, 1)) * q_factor
-    probe = [4 ** m] + [(-1) ** m * c for c in big_a[1:]]
-    if 4 ** (2 * m * m) * det(linear_root + 1) != bareiss_det(
-            hurwitz_matrix(probe[::-1])):
+    chi = char_poly_coeffs([list(row) for row in zip(*cols)])   # det(X I + N)
+    # numerator k of q_factor over D: (-1)^(m(m-1)/2) (-1)^m sgn(a)^e
+    # a^(m(2-m)+e) ((-4a)^m)^k chi_k, as (-1)^(m(2m-1-k)) = (-1)^m (-1)^(mk)
+    e = max(0, m * (m - 2))
+    den = 4 ** (m * (2 * m - 1)) * abs(a) ** e
+    factor = _orlando_sign(m) * sign * (-1 if a < 0 else 1) ** e * a ** (m * (2 - m) + e)
+    step = (-4 * a) ** m
+    q_nums = []
+    for x in chi:
+        q_nums.append(factor * x)
+        factor *= step
+    q_factor = RationalPolynomial(Fraction(x, den) for x in q_nums)
+    # r = -s A(0) = r_num / 4^m, and (c - r) q_factor = (4^m c - r_num) q / 4^m
+    r_num = -sign * big_a[0]
+    linear_root = Fraction(r_num, four_m)
+    det_nums = [0] + [four_m * x for x in q_nums]
+    for k, x in enumerate(q_nums):
+        det_nums[k] -= r_num * x
+    det_den = four_m * den
+    det = RationalPolynomial(Fraction(x, det_den) for x in det_nums)
+    # q_factor(t / 4^m) 4^(m(m-1)) D at t = r_num + 4^m, by homogeneous Horner
+    t, value, power = r_num + four_m, 0, 1
+    for x in reversed(q_nums):
+        value = value * t + x * power
+        power *= four_m
+    probe = [four_m] + [sign * c for c in big_a[1:]]
+    if 4 ** (2 * m * m) * value != bareiss_det(
+            hurwitz_matrix(probe[::-1])) * den * four_m ** (m - 1):
         raise AssertionError("Hurwitz cofactor failed the validation probe "
                              "against the 2m x 2m determinant")
     return HurwitzData(m=m, nu=nu, shifted_base=shifted, det_in_c=det,
@@ -293,15 +321,21 @@ def quartic_classify(q: RationalPolynomial) -> QuarticInvariants:
     disc < 0 forces exactly two real roots; disc > 0 together with
     pi = 8ac - 3b^2 >= 0 or lam = 64a^3 e - 16a^2 bd - 16a^2 c^2 + 16ab^2 c - 3b^4 >= 0
     forces none.  Any remaining pattern is settled by an exact Sturm count
-    (with multiplicity).
+    (with multiplicity).  The invariants are taken on the integer
+    coefficients L q, L the least common denominator; they are homogeneous
+    of degrees 6, 2 and 4, so each is one Fraction over that power of L.
     """
     if q.degree != 4:
         raise ValueError("need degree exactly 4")
-    a, b, c, d, e = q.descending()
-    disc = discriminant(q)
-    pi = 8 * a * c - 3 * b * b
-    lam = (64 * a ** 3 * e - 16 * a ** 2 * b * d - 16 * a ** 2 * c ** 2
-           + 16 * a * b ** 2 * c - 3 * b ** 4)
+    (a, b, c, d, e), den = clear_denominators(q.descending())
+    # disc = (4 I^3 - J^2) / 27 with the invariants I and J of the quartic
+    i = 12 * a * e - 3 * b * d + c * c
+    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c ** 3
+    den2 = den * den
+    disc = Fraction((4 * i ** 3 - j * j) // 27, den2 ** 3)
+    pi = Fraction(8 * a * c - 3 * b * b, den2)
+    lam = Fraction(64 * a ** 3 * e - 16 * a * a * b * d - 16 * a * a * c * c
+                   + 16 * a * b * b * c - 3 * b ** 4, den2 * den2)
     if disc < 0:
         cls = QuarticRootClass.TWO_REAL_TWO_IMAGINARY
     elif disc > 0 and (pi >= 0 or lam >= 0):
@@ -315,9 +349,10 @@ def quartic_classify(q: RationalPolynomial) -> QuarticInvariants:
 
 
 def disc_q3(n: int, l: int) -> Fraction:
-    """Discriminant of the quadratic Hurwitz cofactor of the sixth-order family."""
+    """Discriminant of the quadratic Hurwitz cofactor of the sixth-order
+    family, a1^2 - 4 a2 a0 taken on the cleared integer coefficients."""
     q = hurwitz_assemble(3, n, l).q_factor
     if q.degree != 2:
         raise AssertionError("cofactor of the m=3 family must be quadratic")
-    a2, a1, a0 = q.descending()
-    return a1 * a1 - 4 * a2 * a0
+    (a2, a1, a0), den = clear_denominators(q.descending())
+    return Fraction(a1 * a1 - 4 * a2 * a0, den * den)

@@ -14,6 +14,10 @@ The radial region as it was before the crossing sweep: one exact decision
 at a simple rational inside every gap between boundary candidates and at
 every rational candidate.  An irrational candidate with non-ESA gaps on
 both sides is left undecided there.
+
+The quartic invariants as they were before they were taken on cleared
+integer coefficients: the discriminant by `discriminant` (a Sylvester
+resultant) and Pi and Lambda by Fraction arithmetic on the coefficients.
 """
 
 import functools
@@ -21,14 +25,15 @@ import math
 from fractions import Fraction
 
 from esacert import esa
-from esacert.exact import (AlgebraicReal, RationalPolynomial,
+from esacert.exact import (AlgebraicReal, RationalPolynomial, discriminant,
                            gcd_and_cauchy_index, isolate_real_roots,
-                           primitive_part, rational_roots, simplest_between,
-                           value_compare)
+                           primitive_part, rational_roots, real_root_factors,
+                           simplest_between, value_compare)
 from esacert.exact.poly import (_chain_variations_at, _chain_variations_at_inf,
                                 sturm_chain)
 from esacert.indicial import IndicialSpec
-from esacert.stability import critical_line_parts
+from esacert.stability import (QuarticInvariants, QuarticRootClass,
+                               critical_line_parts)
 
 
 def poly_gcd(a, b):
@@ -169,3 +174,22 @@ def sampled_region(m, n, l):
         hi = esa.POS_INF if i == k + 1 else candidates[i - 1]
         pieces.append(esa.RegionPiece(lo=candidates[run_start - 1], hi=hi))
     return candidates, member, pieces
+
+
+def quartic_invariants(q):
+    """QuarticInvariants of a rational quartic, every step in Fractions."""
+    a, b, c, d, e = q.descending()
+    disc = discriminant(q)
+    pi = 8 * a * c - 3 * b * b
+    lam = (64 * a ** 3 * e - 16 * a ** 2 * b * d - 16 * a ** 2 * c ** 2
+           + 16 * a * b ** 2 * c - 3 * b ** 4)
+    if disc < 0:
+        cls = QuarticRootClass.TWO_REAL_TWO_IMAGINARY
+    elif disc > 0 and (pi >= 0 or lam >= 0):
+        cls = QuarticRootClass.NO_REAL_ROOTS
+    else:
+        with_mult = sum(m * len(ivs) for _f, m, ivs in real_root_factors(q))
+        cls = {0: QuarticRootClass.NO_REAL_ROOTS,
+               2: QuarticRootClass.TWO_REAL_TWO_IMAGINARY,
+               4: QuarticRootClass.FOUR_REAL}.get(with_mult, QuarticRootClass.OTHER)
+    return QuarticInvariants(disc=disc, pi=pi, lam=lam, real_root_class=cls)

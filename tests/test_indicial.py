@@ -95,6 +95,17 @@ class TestBuildIndicial:
             IndicialSpec(2, 3, -1, F(0))
 
 
+class TestEulerQuartic:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.fractions(-10 ** 4, 10 ** 4, max_denominator=1000),
+           st.fractions(-10 ** 4, 10 ** 4, max_denominator=1000))
+    def test_closed_form_matches_product(self, c1, c2):
+        z = RationalPolynomial.variable()
+        base = z * (z - 1) * (z - 2) * (z - 3)
+        mid = z * (z - 1) + (z - 2) * (z - 3)
+        assert euler_quartic(c1, c2) == base + mid * c1 + RationalPolynomial.constant(c2)
+
+
 class TestEulerParams:
     def test_examples(self):
         assert euler_params(3, 0, F(5)) == EulerParams(F(0), F(5))

@@ -20,6 +20,7 @@ from esacert.stability import (CRITICAL_RE, HalfPlaneCount, HurwitzData,
                                euler_hurwitz_matrix, halfplane_count,
                                hurwitz_assemble, hurwitz_matrix,
                                quartic_classify)
+import earlier_kernel
 from conftest import rand_fraction, rand_poly
 
 Z = RationalPolynomial.variable()
@@ -432,6 +433,69 @@ class TestQuarticClassifier:
             quartic_classify(Z ** 3)
 
 
+MIXED = st.fractions(-10 ** 4, 10 ** 4, max_denominator=10 ** 3)
+SMALL = st.fractions(-20, 20, max_denominator=12)
+NONZERO = st.one_of(MIXED, SMALL).filter(bool)
+
+
+@st.composite
+def quartic_coefficients(draw):
+    """Quartics with mixed denominators, a leading coefficient of either
+    sign, and b, c, d, e each often zero."""
+    lower = [draw(st.one_of(st.just(F(0)), MIXED, SMALL)) for _ in range(4)]
+    return RationalPolynomial(lower + [draw(NONZERO)])
+
+
+REAL_ROOTS = {QuarticRootClass.FOUR_REAL: 4,
+              QuarticRootClass.TWO_REAL_TWO_IMAGINARY: 2,
+              QuarticRootClass.NO_REAL_ROOTS: 0}
+
+
+@st.composite
+def quartics_of_class(draw, cls):
+    """(q, cls): a quartic with rational real roots and factors
+    (z - s)^2 + t, t > 0, scaled by a leading coefficient of either sign;
+    a repeated root or factor (disc = 0) is drawn often."""
+    real = REAL_ROOTS[cls]
+    roots = draw(st.lists(SMALL, min_size=real, max_size=real))
+    quads = [(draw(SMALL), draw(st.fractions(F(1, 12), 20, max_denominator=12)))
+             for _ in range((4 - real) // 2)]
+    if draw(st.booleans()):
+        if real >= 2:
+            roots[1] = roots[0]
+        else:
+            quads[-1] = quads[0]
+    q = RationalPolynomial.from_roots(roots)
+    for shift, height in quads:
+        q = q * RationalPolynomial((shift * shift + height, -2 * shift, 1))
+    return q * draw(NONZERO), cls
+
+
+class TestQuarticInvariantsInIntegers:
+    """quartic_classify takes disc, Pi and Lambda on cleared integer
+    coefficients; the Fraction formulas (earlier_kernel.quartic_invariants)
+    are the oracle.  QuarticRootClass.OTHER is not reachable from a rational
+    quartic: its real roots, with multiplicity, are even in number."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(quartic_coefficients())
+    def test_matches_fraction_formulas(self, q):
+        assert quartic_classify(q) == earlier_kernel.quartic_invariants(q)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(list(REAL_ROOTS)).flatmap(quartics_of_class))
+    def test_each_root_class(self, case):
+        q, cls = case
+        inv = quartic_classify(q)
+        assert inv == earlier_kernel.quartic_invariants(q)
+        assert inv.real_root_class is cls
+
+    def test_island_quartics(self):
+        for l in range(101):
+            q = hurwitz_assemble(5, 20, l).q_factor
+            assert quartic_classify(q) == earlier_kernel.quartic_invariants(q)
+
+
 class TestDiscQ3:
     def test_reference_values(self):
         # closed form -764411904 (3k^2+60k+52)^2 (15k^2+300k+476) at
@@ -439,6 +503,11 @@ class TestDiscQ3:
         assert disc_q3(12, 0) == -764411904 * 52 ** 2 * 476
         assert disc_q3(13, 0) == -764411904 * 115 ** 2 * 791
         assert disc_q3(11, 0) == golden.disc_q3_closed_form(11)
+
+    def test_matches_fraction_discriminant(self):
+        for nu in range(2, 41):
+            a2, a1, a0 = hurwitz_assemble(3, nu, 0).q_factor.descending()
+            assert disc_q3(nu, 0) == a1 * a1 - 4 * a2 * a0
 
     def test_depends_only_on_nu(self):
         assert disc_q3(11, 3) == disc_q3(17, 0) == disc_q3(13, 2)
