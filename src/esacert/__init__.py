@@ -23,7 +23,7 @@ Layers:
 * ``esacert.cli``       the command-line front end.
 """
 
-from .exact import AlgebraicReal, Rational, RationalPolynomial, sturm_isolate
+from .exact import AlgebraicReal, Rational, RationalPolynomial
 from .indicial import (EulerParams, IndicialSpec, build_indicial,
                        euler_params, euler_quartic, quartic_roots_closed_form)
 from .roots import (CertifiedRoot, OrderedRootSet, PrecisionExceededError,
@@ -67,5 +67,5 @@ __all__ = [
     "oracle_threshold", "power_zero_coupling", "quartic_classify",
     "quartic_roots_closed_form", "real_part_position",
     "resonance_geometry_table", "root_trajectories",
-    "select_fundamental_system", "sturm_isolate",
+    "select_fundamental_system",
 ]

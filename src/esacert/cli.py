@@ -5,7 +5,8 @@ Subcommands: decide, region, table, figure, basis, conjecture.
 Exit codes: 0 success (and ESA for `decide`), 10 NotESA, 20 golden-data
 mismatch (`table`), 2 usage error.  JSON payloads carry only exact rational
 strings or explicitly enclosed values and are byte-identical across
-invocations; wall-clock timing goes to stderr only.
+invocations; wall-clock timing goes to stderr only.  The flags are the only
+input: no config file or environment variable is read.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import golden
-from .config import EngineConfig, load_config
-from .esa import (conjecture_explore, esa_decide_radial,
-                  esa_region_full, esa_region_radial, gamma_threshold,
-                  render_value, value_to_json)
+from .esa import (CONJECTURE_M_CAP, L_MAX, conjecture_explore,
+                  esa_decide_radial, esa_region_full, esa_region_radial,
+                  gamma_threshold, render_value, value_to_json)
 from .indicial import IndicialSpec, euler_quartic
 from .roots import (START_BITS, root_trajectories, trajectory_csv_rows,
                     trajectory_table)
@@ -93,7 +93,7 @@ def _envelope(args_echo, spec: dict, result: dict, l_max=None,
 # -- decide ----------------------------------------------------------------------
 
 
-def cmd_decide(args, cfg: EngineConfig, echo) -> int:
+def cmd_decide(args, echo) -> int:
     spec = IndicialSpec(m=args.m, n=args.n, l=args.l, c=args.c)
     verdict = esa_decide_radial(spec)
     if args.json:
@@ -117,25 +117,23 @@ def cmd_decide(args, cfg: EngineConfig, echo) -> int:
 # -- region ----------------------------------------------------------------------
 
 
-def cmd_region(args, cfg: EngineConfig, echo) -> int:
+def cmd_region(args, echo) -> int:
     if args.all_l:
-        l_max = args.lmax if args.lmax is not None else cfg.l_max
         with _task_map(args.jobs) as task_map:
-            region = esa_region_full(args.m, args.n, l_max, map=task_map)
-        spec = {"m": args.m, "n": args.n, "l_max": l_max}
-        l_meta = l_max
+            region = esa_region_full(args.m, args.n, args.lmax, map=task_map)
+        spec = {"m": args.m, "n": args.n, "l_max": args.lmax}
     else:
         if args.l is None:
             print("region: provide --l or --all-l", file=sys.stderr)
             return EXIT_USAGE
         region = esa_region_radial(args.m, args.n, args.l)
         spec = {"m": args.m, "n": args.n, "l": args.l}
-        l_meta = None
     rendered = region.render(args.digits)
     if args.json:
         result = region.to_json()
         result["rendered"] = rendered
-        print(_dump_json(_envelope(echo, spec, result, l_max=l_meta,
+        print(_dump_json(_envelope(echo, spec, result,
+                                   l_max=region.certified_up_to_l,
                                    oracle=region.oracle_checked)))
     else:
         print(rendered)
@@ -147,7 +145,7 @@ def cmd_region(args, cfg: EngineConfig, echo) -> int:
 # -- table -----------------------------------------------------------------------
 
 
-def cmd_table(args, cfg: EngineConfig, echo) -> int:
+def cmd_table(args, echo) -> int:
     mismatches = []
     rows = []
     if args.which == "gamma2":
@@ -205,7 +203,7 @@ def _grid(lo: Fraction, hi: Fraction, steps: int) -> list:
     return [lo + step * i for i in range(steps)]
 
 
-def cmd_figure(args, cfg: EngineConfig, echo) -> int:
+def cmd_figure(args, echo) -> int:
     if args.which == "fig1":
         if args.c1 is None:
             print("figure fig1 requires --c1", file=sys.stderr)
@@ -264,7 +262,7 @@ def cmd_figure(args, cfg: EngineConfig, echo) -> int:
 # -- basis -----------------------------------------------------------------------
 
 
-def cmd_basis(args, cfg: EngineConfig, echo) -> int:
+def cmd_basis(args, echo) -> int:
     from .frobenius import select_fundamental_system
     lam = args.lam if args.lam is not None else Fraction(1)
     sel = select_fundamental_system(args.c1, args.c2)
@@ -293,12 +291,8 @@ def cmd_basis(args, cfg: EngineConfig, echo) -> int:
 # -- conjecture ---------------------------------------------------------------------
 
 
-def cmd_conjecture(args, cfg: EngineConfig, echo) -> int:
-    if args.mmax > cfg.conjecture_m_cap:
-        print(f"conjecture: --mmax exceeds the configured cap "
-              f"{cfg.conjecture_m_cap}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = conjecture_explore(args.mmax, m_cap=cfg.conjecture_m_cap)
+def cmd_conjecture(args, echo) -> int:
+    rows = conjecture_explore(args.mmax)
     if args.json:
         result = {"rows": [{
             "m": r["m"],
@@ -331,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified essential self-adjointness decisions for "
                     "Euler-type operators, via exact indicial-root localization.")
     ap._negative_number_matcher = _NEGATIVE_VALUE
-    ap.add_argument("--config", default=None,
-                    help="config file path (overrides ESACERT_CONFIG)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     positive, at_least_two, nonnegative = (_int_at_least(1), _int_at_least(2),
@@ -350,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=at_least_two, required=True)
     p.add_argument("--l", type=nonnegative, default=None)
     p.add_argument("--all-l", action="store_true", dest="all_l")
-    p.add_argument("--lmax", type=nonnegative, default=None)
+    p.add_argument("--lmax", type=nonnegative, default=L_MAX)
     p.add_argument("--digits", type=positive, default=6)
     p.add_argument("--jobs", type=positive, default=1)
     p.add_argument("--json", action="store_true")
@@ -374,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("conjecture", help="threshold growth exploration table")
-    p.add_argument("--mmax", type=positive, default=8)
+    p.add_argument("--mmax", type=int, default=8, metavar="M",
+                   choices=range(1, CONJECTURE_M_CAP + 1))
     p.add_argument("--json", action="store_true")
 
     for choices in sub.choices.values():
@@ -402,10 +395,9 @@ _HANDLERS = {
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _shared_parser().parse_args(argv)
-    cfg = load_config(args.config)
     started = time.perf_counter()
     try:
-        code = _HANDLERS[args.command](args, cfg, argv)
+        code = _HANDLERS[args.command](args, argv)
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

@@ -41,6 +41,8 @@ from .stability import (HalfPlaneCount, HurwitzData, axis_roots_exact,
 from . import golden
 
 Value = Union[Fraction, AlgebraicReal]
+L_MAX = 50             # default top sector of a whole-operator region
+CONJECTURE_M_CAP = 12  # degree-2m determinants grow quickly
 
 
 class _PosInf:
@@ -367,7 +369,7 @@ def intersect_pieces(a: Sequence[RegionPiece], b: Sequence[RegionPiece]) -> list
     return out
 
 
-def esa_region_full(m: int, n: int, l_max: int = 50, map=map) -> EsaRegion:
+def esa_region_full(m: int, n: int, l_max: int = L_MAX, map=map) -> EsaRegion:
     """Intersection of the radial ESA regions over 0 <= l <= l_max.
 
     The full operator is essentially self-adjoint iff every angular sector
@@ -452,7 +454,7 @@ def oracle_threshold(m: int, n: int) -> Optional[EsaRegion]:
 # -- whole-operator cross-checks -----------------------------------------------------
 
 
-def power_zero_coupling(m: int, n: int, l_max: int = 50) -> bool:
+def power_zero_coupling(m: int, n: int, l_max: int = L_MAX) -> bool:
     """Engine ESA decision at zero coupling across all sectors l <= l_max.
 
     Expected to equal (n >= 4m); the comparison itself lives in the tests.
@@ -466,7 +468,7 @@ def power_zero_coupling(m: int, n: int, l_max: int = 50) -> bool:
     return True
 
 
-def conjecture_explore(m_max: int = 12, m_cap: int = 12) -> list:
+def conjecture_explore(m_max: int = CONJECTURE_M_CAP) -> list:
     """Numeric exploration of the dimension-3 threshold growth.
 
     For each m: the engine threshold gamma(m), the comparison value
@@ -475,9 +477,8 @@ def conjecture_explore(m_max: int = 12, m_cap: int = 12) -> list:
     """
     import mpmath as mp
 
-    if m_max > m_cap:
-        raise ValueError(f"m_max exceeds the configured cap {m_cap} "
-                         "(degree-2m determinants grow quickly)")
+    if m_max > CONJECTURE_M_CAP:
+        raise ValueError(f"m_max exceeds the cap {CONJECTURE_M_CAP}")
     rows = []
     for m in range(1, m_max + 1):
         thr = gamma_threshold(m, 3, 0)

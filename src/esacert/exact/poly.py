@@ -9,7 +9,7 @@ point enters any code path.  Provided machinery:
   pair (primitive, sign-preserving; the only remainder loop) gives its gcd
   and Cauchy index, and for (p, p') the Sturm chain; Yun square-free
   decomposition; `real_root_factors`, the one place that isolates real
-  roots into disjoint rational intervals; counting, bisection refinement,
+  roots in rational intervals; counting, bisection refinement,
 * resultants and discriminants via integer Sylvester determinants
   (fraction-free Bareiss after clearing each polynomial's denominators),
   characteristic polynomials (Berkowitz, over the integers or Q),
@@ -560,43 +560,6 @@ def real_root_factors(p: RationalPolynomial) -> list:
     """
     factors, chain = _decompose(p)
     return [(f, mult, isolate_real_roots(f, chain)) for f, mult in factors]
-
-
-def sturm_isolate(p: RationalPolynomial) -> list:
-    """Disjoint isolating intervals for all real roots of p, with multiplicity.
-
-    Returns a sorted list of ((lo, hi), multiplicity).  Multiplicities and
-    intervals come from `real_root_factors`; intervals from different
-    square-free factors are refined until pairwise disjoint.
-    """
-    items = [[lo, hi, m, f] for f, m, intervals in real_root_factors(p)
-             for lo, hi in intervals]   # [lo, hi, mult, factor]
-
-    def disjoint(a, b) -> bool:
-        # intervals are closed; distinct exact roots never collide
-        if a[0] == a[1] and b[0] == b[1]:
-            return a[0] != b[0]
-        return a[1] < b[0] or b[1] < a[0]
-
-    # Roots from distinct square-free factors are distinct, so bisection
-    # separates any pair of overlapping closed intervals in finitely many steps.
-    changed = True
-    while changed:
-        changed = False
-        items.sort(key=lambda t: (t[0], t[1]))
-        for a, b in zip(items, items[1:]):
-            if disjoint(a, b):
-                continue
-            changed = True
-            target = max(a[1] - a[0], b[1] - b[0]) / 4
-            if target == 0:
-                target = Fraction(1, 2 ** 20)
-            if a[1] > a[0]:
-                a[0], a[1] = refine_isolating_interval(a[3], a[0], a[1], target)
-            if b[1] > b[0]:
-                b[0], b[1] = refine_isolating_interval(b[3], b[0], b[1], target)
-    items.sort(key=lambda t: (t[0], t[1]))
-    return [((lo, hi), m) for lo, hi, m, _ in items]
 
 
 # -- resultants -----------------------------------------------------------------

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import mpmath as mp
 
@@ -169,22 +169,14 @@ def _membership(kind: str, c1: Fraction, k: int) -> LocusMembership:
     return LocusMembership(kind, k, branch, relations)
 
 
-def classify_resonance(c1, c2, k_max: Optional[int] = None) -> ResonanceClassification:
-    """Every line/parabola membership of the rational point (c1, c2).
-
-    The search is exact and complete: memberships solve a rational quadratic
-    in k^2, so no index bound is needed.  A k_max may still be passed to
-    assert that no membership beyond it exists.
-    """
+def classify_resonance(c1, c2) -> ResonanceClassification:
+    """Every line/parabola membership of the rational point (c1, c2), found
+    exactly and completely: memberships solve a rational quadratic in k^2."""
     c1, c2 = as_fraction(c1), as_fraction(c2)
     # line L_k: 256 K^2 + (128 c1 - 160) K + (16 c2 + 24 c1 + 9) = 0, K = k^2
     line_ks = _square_indices(Fraction(256), 128 * c1 - 160, 16 * c2 + 24 * c1 + 9)
     # parabola P_k: 64 K^2 + (16 c1 - 20) K + (1 - 4 c1 + c1^2 - c2) = 0
     par_ks = _square_indices(Fraction(64), 16 * c1 - 20, 1 - 4 * c1 + c1 * c1 - c2)
-    if k_max is not None:
-        beyond = [k for k in line_ks + par_ks if k > k_max]
-        if beyond:
-            raise ValueError(f"membership at k={beyond} exceeds the requested bound")
     params = EulerParams(c1=c1, c2=c2)
     return ResonanceClassification(
         params=params,

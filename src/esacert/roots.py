@@ -98,7 +98,6 @@ class OrderedRootSet:
     """Roots sorted by (real part, imaginary part)."""
 
     roots: tuple
-    source: RationalPolynomial
     precision_bits: int
 
     @property
@@ -611,7 +610,7 @@ def certified_roots(p: RationalPolynomial,
                                            multiplicity=job.mult))
         if ok and _pairwise_disjoint([(r.re, r.im, r.radius) for r in roots]):
             roots.sort(key=lambda r: (r.re, r.im))
-            return OrderedRootSet(roots=tuple(roots), source=p, precision_bits=prec)
+            return OrderedRootSet(roots=tuple(roots), precision_bits=prec)
         if prec >= MAX_BITS:
             raise PrecisionExceededError(
                 f"root disks not separated at {prec} bits "

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from esacert.exact import RationalPolynomial
+from esacert.exact import RationalPolynomial, real_root_factors
 
 
 def rand_fraction(rng: random.Random, lo: int = -20, hi: int = 20,
@@ -18,6 +18,12 @@ def rand_poly(rng: random.Random, degree: int, coeff_range: int = 9) -> Rational
                            rng.randint(1, 4)) for _ in range(degree + 1)]
         if coeffs[-1] != 0:
             return RationalPolynomial(coeffs)
+
+
+def real_root_count(p: RationalPolynomial) -> int:
+    """Number of real roots of p, counted with multiplicity."""
+    return sum(mult * len(intervals)
+               for _f, mult, intervals in real_root_factors(p))
 
 
 @pytest.fixture

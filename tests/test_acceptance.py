@@ -15,8 +15,8 @@ from esacert.esa import (esa_decide_radial, esa_region_full, esa_region_radial,
                          euler_esa_closed_form, gamma2_closed_form,
                          gamma3_closed_form, gamma_threshold,
                          power_zero_coupling, value_cmp, POS_INF)
-from esacert.exact import (AlgebraicReal, det_fractions, primitive_part,
-                           sturm_isolate)
+from esacert.exact import (AlgebraicReal, count_real_roots, det_fractions,
+                           primitive_part)
 from esacert.frobenius import (ode_residual, resonance_geometry_table,
                                select_fundamental_system)
 from esacert.indicial import IndicialSpec, build_indicial, euler_quartic
@@ -120,10 +120,8 @@ def test_criterion_6_island_exact_data():
     hd = hurwitz_assemble(5, 20, 0)
     assert primitive_part(hd.q_factor).descending() == tuple(
         F(c) for c in golden.ISLAND_QUARTIC_DESC)
-    quartic_roots = sturm_isolate(hd.q_factor)
-    assert len(quartic_roots) == 2
-    quintic_roots = sturm_isolate(hd.det_in_c)
-    assert len(quintic_roots) == 3
+    assert count_real_roots(hd.q_factor) == 2
+    assert count_real_roots(hd.det_in_c) == 3
     beta, gamma = golden.island_roots()
     for val, ref in ((beta, golden.ISLAND_BETA_APPROX),
                      (gamma, golden.ISLAND_GAMMA_APPROX)):
@@ -227,7 +225,7 @@ class TestCriterion10PropertySuites:
     def test_quartic_classifier_against_sturm_thousand(self):
         started = time.perf_counter()
         from esacert.stability import QuarticRootClass
-        from conftest import rand_poly
+        from conftest import rand_poly, real_root_count
         rng = random.Random(1030)
         count_for = {
             QuarticRootClass.NO_REAL_ROOTS: 0,
@@ -237,7 +235,7 @@ class TestCriterion10PropertySuites:
         for _ in range(1000):
             q = rand_poly(rng, 4)
             inv = quartic_classify(q)
-            with_mult = sum(mult for _iv, mult in sturm_isolate(q))
+            with_mult = real_root_count(q)
             assert count_for[inv.real_root_class] == with_mult
         report(10, "quartic classifier agreed with Sturm counts on 1000 "
                    "random quartics", started)

@@ -276,41 +276,43 @@ class TestConjectureCommand:
         assert "45" in out
 
 
-class TestConfig:
-    def test_config_file_changes_default_lmax(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("l_max = 3\n# comment\nconjecture_m_cap = 12\n")
-        _, out, _ = invoke(capsys, ["--config", str(cfg), "region", "--m", "2",
-                                    "--n", "8", "--all-l", "--json"])
-        payload = json.loads(out)
-        assert payload["certification"]["l_max"] == 3
-        assert payload["result"]["certified_up_to_l"] == 3
+class TestNoConfigFile:
+    """The flags are the only input: no config file or environment variable
+    can change a default."""
 
-    def test_env_var_config(self, capsys, tmp_path, monkeypatch):
+    def test_config_flag_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("l_max = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["--config", str(cfg), "table", "--which", "gamma2"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_environment_config_is_ignored(self, capsys, tmp_path,
+                                           monkeypatch):
         cfg = tmp_path / "cfg"
         cfg.write_text("l_max = 2\n")
         monkeypatch.setenv("ESACERT_CONFIG", str(cfg))
-        _, out, _ = invoke(capsys, ["region", "--m", "2", "--n", "8", "--all-l",
-                                    "--json"])
-        assert json.loads(out)["certification"]["l_max"] == 2
+        code, out, _ = invoke(capsys, ["region", "--m", "2", "--n", "8",
+                                       "--all-l", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certification"]["l_max"] == 50
+        assert payload["result"]["certified_up_to_l"] == 50
 
-    def test_bad_config_key(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("nonsense = 5\n")
-        with pytest.raises(ValueError):
-            run(["--config", str(cfg), "table", "--which", "gamma2"])
 
-    def test_removed_series_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("series_max_terms = 1000\n")
-        with pytest.raises(ValueError, match="unknown config key"):
-            run(["--config", str(cfg), "table", "--which", "gamma2"])
-
-    def test_removed_precision_ladder_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("precision_ladder = 128, 256\n")
-        with pytest.raises(ValueError, match="unknown config key"):
-            run(["--config", str(cfg), "table", "--which", "gamma2"])
+@pytest.mark.parametrize("argv,code", (
+    (["decide", "--m", "2", "--n", "8", "--c", "0"], 0),
+    (["decide", "--m", "2", "--n", "7", "--c", "0"], 10),
+))
+def test_console_entry_point_exits_with_the_run_code(capsys, monkeypatch,
+                                                     argv, code):
+    # `main` is the `esacert` console script of pyproject.toml
+    monkeypatch.setattr(sys, "argv", ["esacert", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    assert "elapsed" in capsys.readouterr().err
 
 
 class TestSharedParser:

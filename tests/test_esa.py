@@ -268,6 +268,54 @@ class TestOracles:
                 assert (hp.left + hp.axis == 2) == euler_esa_closed_form(c1, c2)
 
 
+# a boundary point, and points 1e-40 off it on either side
+NEAR = (F(0), F(1, 10 ** 40), -F(1, 10 ** 40))
+BREAK_C1 = F(-11, 4)
+
+
+def _c1_on(branch):
+    """Rationals c1 on the lower (c1 < -11/4) or upper (c1 >= -11/4) branch
+    of the closed-form boundary, and the break c1 = -11/4 itself."""
+    if branch == "break":
+        return st.just(BREAK_C1)
+    c1 = st.fractions(min_value=-40, max_value=20, max_denominator=16)
+    if branch == "lower":
+        return c1.filter(lambda c: c < BREAK_C1)
+    return c1.filter(lambda c: c >= BREAK_C1)
+
+
+class TestEngineAgainstClosedForms:
+    """Derandomized hypothesis suites of the exact engine against the closed
+    forms, at, just above and just below each boundary."""
+
+    @staticmethod
+    def boundary_c2(c1):
+        if c1 >= BREAK_C1:
+            return 45 + 12 * c1 + c1 * c1
+        return -F(105, 16) - F(19, 2) * c1
+
+    @pytest.mark.parametrize("branch", ("lower", "upper", "break"))
+    @settings(max_examples=70, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_quartic_halfplane_count(self, branch, data):
+        c1 = data.draw(_c1_on(branch))
+        on = self.boundary_c2(c1)
+        for c2 in [on + d for d in NEAR] + [on + 1, on - 1]:
+            hp = halfplane_count(euler_quartic(c1, c2))
+            assert (hp.left + hp.axis == 2) == euler_esa_closed_form(c1, c2), \
+                f"({c1}, {c2})"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 40), st.integers(0, 12),
+           st.fractions(min_value=-10, max_value=10, max_denominator=9))
+    def test_radial_fourth_order_threshold(self, n, l, off):
+        threshold = gamma2_closed_form(n, l)
+        for c in [threshold + d for d in NEAR] + [threshold + off,
+                                                   threshold - off]:
+            verdict = esa_decide_radial(IndicialSpec(2, n, l, c))
+            assert verdict.is_esa == (c >= threshold), f"({n}, {l}, {c})"
+
+
 class TestMonotoneBinding:
     def test_sector_thresholds_bounded_by_sector_zero(self):
         for n in (2, 5, 9, 12):
@@ -304,7 +352,7 @@ class TestConjectureExploration:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            conjecture_explore(99, m_cap=12)
+            conjecture_explore(99)
 
 
 class TestPieceAlgebra:

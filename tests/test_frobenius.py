@@ -93,10 +93,6 @@ class TestClassification:
                         if near <= 0:
                             assert abs(d.real - near) > 1e-20
 
-    def test_k_max_validation(self):
-        with pytest.raises(ValueError):
-            classify_resonance(F(0), line_c2(F(0), 4), k_max=2)
-
     def test_two_parabola_points_always_carry_a_line(self):
         # intersections of two parabolas force a line membership (the
         # adjacent-pair resonances compose to a symmetric-pair resonance),

@@ -10,7 +10,7 @@ from esacert import golden, stability
 from esacert.esa import _hurwitz_cached
 from esacert.exact import (RationalPolynomial, char_poly, count_real_roots,
                            det_fractions, poly_gcd, primitive_part,
-                           sturm_isolate)
+                           real_root_factors)
 from esacert.indicial import (IndicialSpec, build_indicial, euler_quartic,
                               indicial_base)
 from esacert.roots import Unresolved, certified_roots, real_part_position
@@ -21,7 +21,7 @@ from esacert.stability import (CRITICAL_RE, HalfPlaneCount, HurwitzData,
                                hurwitz_assemble, hurwitz_matrix,
                                quartic_classify)
 import earlier_kernel
-from conftest import rand_fraction, rand_poly
+from conftest import rand_fraction, rand_poly, real_root_count
 
 Z = RationalPolynomial.variable()
 HALF = F(1, 2)
@@ -87,11 +87,11 @@ class TestHurwitzAssemble:
 
     def test_dimension_three_determinant_roots(self):
         hd = hurwitz_assemble(2, 3, 0)
-        roots = sturm_isolate(hd.det_in_c)
         vals = []
-        for (lo, hi), mult in roots:
+        for _f, mult, intervals in real_root_factors(hd.det_in_c):
             assert mult == 1
-            vals.append((lo, hi))
+            vals.extend(intervals)
+        vals.sort()
         assert len(vals) == 2
         assert vals[0][0] <= F(-105, 16) <= vals[0][1]
         assert vals[1][0] <= F(45) <= vals[1][1]
@@ -425,7 +425,7 @@ class TestQuarticClassifier:
         for _ in range(200):
             q = rand_poly(rng, 4)
             inv = quartic_classify(q)
-            with_mult = sum(mult for _iv, mult in sturm_isolate(q))
+            with_mult = real_root_count(q)
             assert count_for[inv.real_root_class] == with_mult
 
     def test_wrong_degree_rejected(self):
