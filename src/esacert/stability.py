@@ -36,8 +36,10 @@ Its coefficients are kept as integer numerators over one common
 denominator, the determinant in c is their product with the integer
 numerators of c - r, and each coefficient becomes one Fraction at the end.
 The 2m x 2m matrix is only evaluated once, at one rational c, as a check:
-its integer Bareiss determinant is compared, in integers, with an integer
-Horner value of the cofactor.  The quartic invariants (quartic_classify)
+its determinant, the last leading minor of the fraction-free Routh scheme
+(hurwitz_minors, O(m^2) ring operations; integer Bareiss only when a Routh
+divisor vanishes), is compared, in integers, with an integer Horner value
+of the cofactor.  The quartic invariants (quartic_classify)
 and disc_q3 are likewise taken on cleared integer coefficients.
 """
 
@@ -67,6 +69,39 @@ def hurwitz_matrix(descending_coeffs) -> list:
     n = len(descending_coeffs) - 1
     padded = [0] * n + list(descending_coeffs) + [0] * n   # a_k at k + n
     return [padded[n + 2 - i:3 * n + 1 - i:2] for i in range(1, n + 1)]
+
+
+def hurwitz_minors(desc) -> list | None:
+    """Leading principal minors Delta_1..Delta_n of hurwitz_matrix(desc), for
+    descending integer coefficients, by the fraction-free Routh scheme.
+
+    Routh's array (Gantmacher, Theory of Matrices II, XV.6) starts from the
+    rows (a0, a2, a4, ...) and (a1, a3, ...); scaled by Sylvester's identity
+    as in Bareiss's elimination, each further row is built from the last
+    two, y and the one before it x, as
+
+        (y[0] x[j + 1] - x[0] y[j + 1]) // Delta_(k-3)
+
+    with Delta_-1 = Delta_0 = 1, every division exact, and row k leading
+    with Delta_k.  That is O(n^2) ring operations for all n minors.  Returns
+    None when a divisor Delta_1..Delta_(n-3) vanishes; the minors are then
+    left to a determinant.
+    """
+    n = len(desc) - 1
+    if n < 1:
+        return []
+    width = n // 2 + 2
+    x = list(desc[0::2]) + [0] * (width - len(desc[0::2]))
+    y = list(desc[1::2]) + [0] * (width - len(desc[1::2]))
+    minors = [1, 1, y[0]]               # Delta_-1, Delta_0, Delta_1
+    for k in range(2, n + 1):
+        div = minors[k - 2]             # Delta_(k-3)
+        if not div:
+            return None
+        p, q = y[0], x[0]
+        x, y = y, [(p * x[j] - q * y[j]) // div for j in range(1, width)] + [0]
+        minors.append(y[0])
+    return minors[2:]
 
 
 def euler_hurwitz_matrix(c1, c2) -> list:
@@ -138,10 +173,11 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
     integer lists over 4^m D.  Each coefficient becomes one Fraction at
     the end.  One probe compares q_factor(r + 1) = det_in_c(r + 1), as an
     integer Horner value cross-multiplied with its denominator, with the
-    integer Bareiss determinant of the 2m x 2m Hurwitz matrix of
-    (-1)^m (A - A(0)) + 4^m, which is 4^(2m^2) times the numeric
-    determinant there; a mismatch is a construction bug and raises
-    AssertionError.
+    determinant of the 2m x 2m Hurwitz matrix of (-1)^m (A - A(0)) + 4^m,
+    which is 4^(2m^2) times the numeric determinant there; a mismatch is a
+    construction bug and raises AssertionError.  That determinant is the
+    last minor Delta_2m of hurwitz_minors, or the integer Bareiss
+    determinant of the matrix when a Routh divisor vanishes.
     """
     nu = n + 2 * l
     big_a = indicial_product(m, nu, CRITICAL_RE)
@@ -182,9 +218,10 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
     for x in reversed(q_nums):
         value = value * t + x * power
         power *= four_m
-    probe = [four_m] + [sign * c for c in big_a[1:]]
-    if 4 ** (2 * m * m) * value != bareiss_det(
-            hurwitz_matrix(probe[::-1])) * den * four_m ** (m - 1):
+    probe = [sign * c for c in reversed(big_a[1:])] + [four_m]
+    minors = hurwitz_minors(probe)
+    full = minors[-1] if minors is not None else bareiss_det(hurwitz_matrix(probe))
+    if 4 ** (2 * m * m) * value != full * den * four_m ** (m - 1):
         raise AssertionError("Hurwitz cofactor failed the validation probe "
                              "against the 2m x 2m determinant")
     return HurwitzData(m=m, nu=nu, shifted_base=shifted, det_in_c=det,

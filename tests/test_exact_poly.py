@@ -146,7 +146,7 @@ class TestSturm:
         [(_f, _m, intervals)] = real_root_factors(Z * Z - 2)
         assert len(intervals) == 2
         neg, pos = intervals
-        assert neg[0] <= -1 and neg[1] >= -2 or True  # containment checked below
+        assert neg[0] <= neg[1] <= pos[0] <= pos[1]  # sorted, not overlapping
         assert pos[0] < F(1414214, 1000000) < pos[1] or pos[0] == pos[1]
         assert neg[0] < F(-1414214, 1000000) < neg[1] or neg[0] == neg[1]
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from esacert import golden, stability
 from esacert.esa import _hurwitz_cached
-from esacert.exact import (RationalPolynomial, char_poly, count_real_roots,
-                           det_fractions, poly_gcd, primitive_part,
-                           real_root_factors)
+from esacert.exact import (RationalPolynomial, bareiss_det, char_poly,
+                           count_real_roots, det_fractions, poly_gcd,
+                           primitive_part, real_root_factors)
+from esacert.exact.poly import clear_denominators
 from esacert.indicial import (IndicialSpec, build_indicial, euler_quartic,
                               indicial_base)
 from esacert.roots import Unresolved, certified_roots, real_part_position
@@ -19,7 +20,7 @@ from esacert.stability import (CRITICAL_RE, HalfPlaneCount, HurwitzData,
                                axis_roots_exact, critical_line_parts, disc_q3,
                                euler_hurwitz_matrix, halfplane_count,
                                hurwitz_assemble, hurwitz_matrix,
-                               quartic_classify)
+                               hurwitz_minors, quartic_classify)
 import earlier_kernel
 from conftest import rand_fraction, rand_poly, real_root_count
 
@@ -62,6 +63,65 @@ class TestHurwitzMatrix:
         assert rows[3] == [F(0), F(1), F(3), F(5), F(7), F(0)]
         assert rows[4] == [F(0), F(0), F(2), F(4), F(6), F(0)]
         assert rows[5] == [F(0), F(0), F(1), F(3), F(5), F(7)]
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _routh_right_count(p: RationalPolynomial):
+    """Roots of p right of Re z = -1/2 by Routh's theorem, V(a0, Delta_1,
+    Delta_2/Delta_1, ..., Delta_n/Delta_(n-1)) on the centered polynomial;
+    None when some Delta_k is 0."""
+    desc = clear_denominators(p.shift(CRITICAL_RE).descending())[0]
+    minors = hurwitz_minors(desc)
+    if minors is None or 0 in minors:
+        return None
+    signs = [_sign(desc[0])] + [_sign(d * e) for d, e in zip(minors, [1] + minors)]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+_small_fractions = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+
+
+class TestHurwitzMinors:
+    """The fraction-free Routh scheme against Bareiss determinants of the
+    leading blocks, and Routh's theorem against the Cauchy-index count."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(-3, 3).filter(bool),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=12))
+    def test_matches_leading_block_determinants(self, lead, rest):
+        desc = [lead] + rest
+        n = len(rest)
+        rows = hurwitz_matrix(desc)
+        want = [bareiss_det([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+        got = hurwitz_minors(desc)
+        if 0 in want[:max(0, n - 3)]:
+            assert got is None
+        else:
+            assert got == want
+
+    def test_constant_has_no_minors(self):
+        assert hurwitz_minors([7]) == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(2, 24), st.integers(0, 4),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 64), st.integers(0, 10))
+    def test_routh_count_on_indicial_specs(self, m, n, l, num, den, exp):
+        p = build_indicial(IndicialSpec(m, n, l, F(num, den) * 10 ** exp))
+        right = _routh_right_count(p)
+        assume(right is not None)
+        assert right == halfplane_count(p).right
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_small_fractions.filter(bool),
+           st.lists(_small_fractions, min_size=1, max_size=8))
+    def test_routh_count_on_rational_polynomials(self, lead, rest):
+        p = RationalPolynomial(rest + [lead])
+        right = _routh_right_count(p)
+        assume(right is not None)
+        assert right == halfplane_count(p).right
 
 
 class TestHurwitzAssemble:
@@ -191,17 +251,29 @@ class TestIntegerOrlando:
         assert hurwitz_assemble(m, n, l) == _fraction_orlando(m, n + 2 * l)
 
     def test_probe_runs_on_every_call(self, monkeypatch):
-        sizes = []
+        degrees = []
 
-        def spy(rows):
-            sizes.append(len(rows))
-            return det(rows)
+        def spy(desc):
+            degrees.append(len(desc) - 1)
+            return minors(desc)
 
-        det = stability.bareiss_det
-        monkeypatch.setattr(stability, "bareiss_det", spy)
+        minors = stability.hurwitz_minors
+        monkeypatch.setattr(stability, "hurwitz_minors", spy)
         for m, n, l in ((1, 4, 0), (2, 5, 0), (3, 7, 1), (5, 20, 0), (8, 30, 2)):
             hurwitz_assemble(m, n, l)
-        assert sizes == [2, 4, 6, 10, 16]
+        assert degrees == [2, 4, 6, 10, 16]
+
+    def test_bareiss_fallback(self, monkeypatch):
+        # a vanishing Routh divisor hands the probe to the full determinant
+        monkeypatch.setattr(stability, "hurwitz_minors", lambda desc: None)
+        keys = ((1, 4, 0), (3, 7, 1), (5, 20, 0))
+        for m, n, l in keys:
+            assert hurwitz_assemble(m, n, l) == _fraction_orlando(m, n + 2 * l)
+        flipped = stability._orlando_sign
+        monkeypatch.setattr(stability, "_orlando_sign", lambda m: -flipped(m))
+        for m, n, l in keys:
+            with pytest.raises(AssertionError, match="validation probe"):
+                hurwitz_assemble(m, n, l)
 
 
 class TestAxisRoots:
