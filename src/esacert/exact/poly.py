@@ -4,7 +4,9 @@ Coefficients are ``fractions.Fraction`` values stored densely in ascending
 order (index = power).  Everything in this module is exact; no floating
 point enters any code path.  Provided machinery:
 
-* ring arithmetic, Taylor shift ``p(z + a)``, even/odd splitting,
+* ring arithmetic, Taylor shift ``p(z + a)`` (in integers: with p = P/L
+  and a = h/k, the O(d^2) synthetic-division loop shifts
+  R_j = P_j k^(d-j) by h), even/odd splitting,
 * exact Euclidean division; one signed remainder sequence per polynomial
   pair (primitive, sign-preserving; the only remainder loop) gives its gcd
   and Cauchy index, and for (p, p') the Sturm chain; Yun square-free
@@ -14,7 +16,8 @@ point enters any code path.  Provided machinery:
   (fraction-free Bareiss after clearing each polynomial's denominators),
   characteristic polynomials (Berkowitz, over the integers or Q),
 * complete rational-root detection (rational root theorem on refined
-  isolating intervals).
+  isolating intervals, each candidate tested by the integer sign of the
+  primitive polynomial).
 
 Sign evaluation of an integer polynomial at a rational point is done with
 integer arithmetic only (clearing the denominator), which keeps Sturm
@@ -203,24 +206,28 @@ class RationalPolynomial:
         return RationalPolynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
     def shift(self, a) -> "RationalPolynomial":
-        """Taylor shift: returns q with q(z) = p(z + a), exactly."""
+        """Taylor shift: returns q with q(z) = p(z + a), exactly.
+
+        With p = P/L for integer P and a = h/k, R_j = P_j k^(d-j) gives
+        p(z + a) = R(kz + h)/(L k^d); R is shifted by h with the O(d^2)
+        synthetic-division loop on ints, and coefficient j of q is
+        R(u + h)_j / (L k^(d-j)).
+        """
         a = as_fraction(a)
         d = self.degree
-        if d < 0:
+        if d < 1 or not a:
             return self
-        # q_k = sum_{j>=k} c_j * C(j, k) * a^(j-k)
-        out = [Fraction(0)] * (d + 1)
-        apow = [Fraction(1)]
-        for _ in range(d):
-            apow.append(apow[-1] * a)
-        for j, cj in enumerate(self.coeffs):
-            if not cj:
-                continue
-            binom = 1
-            for k in range(j + 1):
-                out[k] += cj * binom * apow[j - k]
-                binom = binom * (j - k) // (k + 1)
-        return RationalPolynomial(out)
+        h, k = a.numerator, a.denominator
+        ints, den = clear_denominators(self.coeffs)
+        kpow = [1] * (d + 1)   # kpow[i] = k^i
+        for i in range(1, d + 1):
+            kpow[i] = kpow[i - 1] * k
+        r = [c * kpow[d - j] for j, c in enumerate(ints)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                r[j] += h * r[j + 1]
+        return RationalPolynomial([Fraction(c, den * kpow[d - j])
+                                   for j, c in enumerate(r)])
 
     def even_odd_split(self) -> tuple:
         """Returns (E, O) with p(z) = E(z^2) + z*O(z^2)."""
@@ -527,16 +534,12 @@ def isolate_real_roots(p: RationalPolynomial, chain=None) -> list:
     return out
 
 
-def refine_isolating_interval(p: RationalPolynomial, lo: Fraction, hi: Fraction,
-                              max_width: Fraction) -> tuple:
-    """Bisect a sign-change interval of p until its width is <= max_width.
-
-    Sign evaluations run on the integer-cleared coefficients, so bisection
-    stays in integer arithmetic throughout.
-    """
-    if lo == hi:
+def _refine(ic: list, lo: Fraction, hi: Fraction, max_width: Fraction) -> tuple:
+    """Bisect the sign-change interval (lo, hi) of the integer polynomial
+    `ic` (ascending) until its width is <= max_width, or to (x, x) at a
+    midpoint x that is a root."""
+    if hi - lo <= max_width:
         return lo, hi
-    ic = primitive_coeffs(p.coeffs)
     slo = _sign_at(ic, lo.numerator, lo.denominator)
     while hi - lo > max_width:
         mid = (lo + hi) / 2
@@ -548,6 +551,18 @@ def refine_isolating_interval(p: RationalPolynomial, lo: Fraction, hi: Fraction,
         else:
             hi = mid
     return lo, hi
+
+
+def refine_isolating_interval(p: RationalPolynomial, lo: Fraction, hi: Fraction,
+                              max_width: Fraction) -> tuple:
+    """Bisect a sign-change interval of p until its width is <= max_width.
+
+    Sign evaluations run on the integer-cleared coefficients, so bisection
+    stays in integer arithmetic throughout.
+    """
+    if lo == hi:
+        return lo, hi
+    return _refine(primitive_coeffs(p.coeffs), lo, hi, max_width)
 
 
 def real_root_factors(p: RationalPolynomial) -> list:
@@ -683,29 +698,38 @@ def rational_roots(p: RationalPolynomial, intervals=None) -> list:
 
     A root u/v in lowest terms of the primitive integer polynomial with
     leading coefficient lc has v | lc (rational root theorem), so it is a
-    multiple of 1/|lc|.  Each isolating interval is first probed with the
-    simplest rational it contains, then bisected to width <= 1/|lc|; its
-    endpoints are not roots, so the open interval then holds at most one
-    multiple of 1/|lc|, which is tested exactly.  `intervals`, if given,
-    are p's isolating intervals from `isolate_real_roots`.
+    multiple of 1/|lc|.  An isolating interval wider than 1/|lc| is first
+    probed with the simplest rational it contains, then bisected to width
+    <= 1/|lc|; its endpoints are not roots, so the open interval then holds
+    at most one multiple of 1/|lc|, which is tested exactly.  Every test is
+    the integer sign of the primitive polynomial at the candidate.
+    `intervals`, if given, replace `isolate_real_roots(p)`: each is (r, r)
+    for a root r, or an open interval whose ends are not roots and which
+    holds at most one root of p, and together they hold every real root.
     """
     if p.degree < 1:
         return []
-    lc = abs(primitive_coeffs(p.coeffs)[-1])
+    ic = primitive_coeffs(p.coeffs)
+    lc = abs(ic[-1])
+    step = Fraction(1, lc)
+
+    def is_root(x: Fraction) -> bool:
+        return _sign_at(ic, x.numerator, x.denominator) == 0
+
     out = []
     if intervals is None:
         intervals = isolate_real_roots(p)
     for lo, hi in intervals:
-        if lo < hi:
+        if hi - lo > step:
             w = hi - lo
             cand = simplest_between(lo + w / 8, hi - w / 8)
-            if p(cand) == 0:
+            if is_root(cand):
                 lo = hi = cand
             else:
-                lo, hi = refine_isolating_interval(p, lo, hi, Fraction(1, lc))
+                lo, hi = _refine(ic, lo, hi, step)
         if lo < hi:
             cand = Fraction(math.floor(lo * lc) + 1, lc)
-            if cand < hi and p(cand) == 0:
+            if cand < hi and is_root(cand):
                 lo = hi = cand
         if lo == hi:
             out.append(lo)

@@ -5,14 +5,13 @@ as for every indicial polynomial (roots pair to 2m - 1) and every Euler
 quartic (pairs sum to 3), the exact steps run on G at half the degree;
 any other p takes them itself.
 
-1. `real_root_factors` gives the square-free factors with their Sturm
-   isolating intervals (when the input is square-free, the Sturm chain
-   that shows it serves the isolation); on those intervals the rational
-   roots of each factor are split off exactly (by the rational root
-   theorem) and reported with radius zero.  On G, a rational root y that
-   is the square of a rational gives the exact roots a +- sqrt(y) (y = 0
-   gives a, with twice the multiplicity);
-2. each remaining factor f is handed to an Aberth-Ehrlich simultaneous
+1. the square-free decomposition runs on one Sturm chain (`_decompose`),
+   which also gives each factor of G its real-root count at +-infinity; a
+   root at 0 (y = 0 on G, giving a with twice the multiplicity) is split
+   off exactly first, since the Newton polygon seeds no iterate at 0.
+   Rational roots already found (step 4) are divided out of their factors
+   and reported with radius zero (on G, y = (x - a)^2 gives a +- |x - a|);
+2. each factor f is handed to an Aberth-Ehrlich simultaneous
    iteration from deterministic Newton-polygon initial points, run first in
    hardware floats and polished on dyadic iterates at the working precision
    (from the initial points themselves at escalated precision, or when the
@@ -21,18 +20,23 @@ any other p takes them itself.
    each iterate is rounded to the working precision relative to its
    modulus.  If f(a + w) = g(w^2), the iteration runs on g and each root y
    of g gives the two centers a +- sqrt(y), the square root taken by
-   `math.isqrt` and the sum with a exactly; a root y that the Sturm
-   isolation of g shows to be real is put on the real axis, so its centers
+   `math.isqrt` and the sum with a exactly; the iterates of g nearest the
+   real axis, as many as g has real roots, are made real, so their centers
    lie on the real axis (y > 0) or on the line Re z = a (y < 0);
 3. every candidate center is certified on f itself by the exact bound
    |x - nearest root| <= deg * |f(x)| / |f'(x)|, evaluated in integer
    arithmetic at the rational center (the iteration supplies candidates
-   only, never the certificate);
+   only, never the certificate); the centers a +- t share one evaluation,
+   since |f(a + t)| = |f(a - t)| and |f'(a + t)| = |f'(a - t)|;
 4. precision doubles from START_BITS up to MAX_BITS until all disks are
-   pairwise disjoint, in which case each disk provably contains exactly one
-   root.  A disk centred on the real axis (or on Re z = a) then holds a
-   real root (one on that line): the mirror image of its root is a root in
-   the same disk.
+   pairwise disjoint (compared in integers over the common denominator),
+   in which case each disk provably contains exactly one root.  A disk
+   centred on the real axis (or on Re z = a) then holds a real root (one
+   on that line): the mirror image of its root is a root in the same disk.
+   The rational roots of each factor are then found exactly on the shadows
+   of its disks that meet the real axis (`_rational_roots_in_disks`); if
+   there are any, they are divided out (step 1) and steps 2-4 run again
+   on what is left, with no rational root.
 
 The disks feed the numeric trajectory output only, and serve the tests as
 an oracle independent of the exact half-plane count in the stability layer;
@@ -48,9 +52,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import (RationalPolynomial, as_fraction, rational_roots,
-                    rational_sqrt, real_root_factors)
-from .exact.poly import primitive_coeffs
+from .exact import (RationalPolynomial, as_fraction, count_real_roots,
+                    rational_roots)
+from .exact.poly import (_chain_variations_at_inf, _decompose, _sign_at,
+                         primitive_coeffs)
 
 START_BITS = 128   # first working precision of every numeric root computation
 MAX_BITS = 4096    # certified_roots gives up beyond this precision
@@ -442,12 +447,12 @@ def _sqrt(y: tuple, bits: int) -> tuple:
 
 @dataclass(frozen=True)
 class _NumericFactor:
-    """A monic square-free factor f of the input with no rational root, to be
-    enclosed numerically; each of its roots has multiplicity `mult`.
+    """A monic square-free factor f of the input, to be enclosed
+    numerically; each of its roots has multiplicity `mult`.
 
-    With a centre a, f(a + w) = g(w^2): the iteration runs on g, and the
-    `real` roots of g that its Sturm isolation found are put on the real
-    axis.  Without one, the iteration runs on f.
+    With a centre a, f(a + w) = g(w^2): the iteration runs on g, and `real`
+    of its iterates, g's real-root count, are put on the real axis.  Without
+    one, the iteration runs on f.
     """
 
     f: RationalPolynomial
@@ -468,36 +473,57 @@ def _even_about_centroid(p: RationalPolynomial):
     return None if not odd.is_zero else (a, even)
 
 
-def _split(p: RationalPolynomial) -> tuple:
-    """The exact roots [(value, multiplicity)] and the `_NumericFactor`s of p.
+def _divide_out_zero(p: RationalPolynomial) -> tuple:
+    """(k, p / z^k) for the multiplicity k of the root 0 of p."""
+    k = next(i for i, c in enumerate(p.coeffs) if c)
+    return k, RationalPolynomial(p.coeffs[k:]) if k else p
 
-    If p(a + w) = G(w^2), the exact steps run on G at half the degree: a
-    rational root y of a square-free factor G_i of multiplicity i that is
-    the square of a rational gives the roots a +- sqrt(y) of multiplicity i
-    (y = 0 gives a, of multiplicity 2i), and what is left of G_i is
-    enclosed through G_i((z - a)^2).  Otherwise the exact steps run on p.
+
+def _split(p: RationalPolynomial, known=frozenset()) -> tuple:
+    """The exact roots [(value, multiplicity)] and the `_NumericFactor`s of
+    p, given the set `known` of p's rational roots found so far.
+
+    Only the square-free decomposition runs here, on one Sturm chain.  If
+    p(a + w) = G(w^2), it runs on G at half the degree, and each factor
+    G_i of multiplicity i gets its real-root count from the chain's signs
+    at +-infinity (from `count_real_roots` when G is not square-free).  A
+    root y = 0 of G of multiplicity k gives a, of multiplicity 2k, and is
+    split off first, since the Newton polygon seeds no iterate at 0.  A known root x gives
+    the root y = (x - a)^2 of some G_i and the exact roots a +- |x - a| of
+    multiplicity i.  What is left of G_i is enclosed through
+    G_i((z - a)^2).  Otherwise the decomposition runs on p, after a root
+    at 0 is split off, and each known root is divided out of its factor.
     """
     half = _even_about_centroid(p)
     exact, numeric = [], []
     if half is None:
-        for f, mult, intervals in real_root_factors(p):
-            for r in rational_roots(f, intervals):
-                f = f.divide_exact(RationalPolynomial((-r, 1)))
-                exact.append((r, mult))
+        k, p = _divide_out_zero(p)
+        if k:
+            exact.append((Fraction(0), k))
+        for f, mult in _decompose(p)[0]:
+            for r in sorted(known):
+                if not f(r):
+                    f = f.divide_exact(RationalPolynomial((-r, 1)))
+                    exact.append((r, mult))
             if f.degree >= 1:
                 f = f.monic()
                 numeric.append(_NumericFactor(f, mult, *(_even_about_centroid(f) or ())))
         return exact, numeric
     a, big_g = half
-    for g, mult, intervals in real_root_factors(big_g):
-        real = len(intervals)
-        for y in rational_roots(g, intervals):
-            s = rational_sqrt(y)
-            if s is None:
-                continue
-            g = g.divide_exact(RationalPolynomial((-y, 1)))
-            real -= 1
-            exact += [(a, 2 * mult)] if s == 0 else [(a - s, mult), (a + s, mult)]
+    k, big_g = _divide_out_zero(big_g)
+    if k:
+        exact.append((a, 2 * k))
+    roots_of = {(x - a) ** 2: abs(x - a) for x in known}
+    factors, chain = _decompose(big_g)
+    for g, mult in factors:
+        real = (_chain_variations_at_inf(chain, positive=False)
+                - _chain_variations_at_inf(chain, positive=True)
+                if chain is not None else count_real_roots(g))
+        for y, s in sorted(roots_of.items()):
+            if not g(y):
+                g = g.divide_exact(RationalPolynomial((-y, 1)))
+                real -= 1
+                exact += [(a - s, mult), (a + s, mult)]
         if g.degree >= 1:
             g = g.monic()
             if 2 * g.degree == p.degree:   # g is G, so g((z - a)^2) is p
@@ -534,37 +560,46 @@ def _centers(job: _NumericFactor, prec_bits: int) -> list:
     return out
 
 
-def _certify(f: RationalPolynomial, centers: list):
+def _certify(f: RationalPolynomial, centers: list, paired: bool = False):
     """Exact disk radii deg*|f(x)/f'(x)| at rational centers; None if any f' vanishes.
 
     Let F be the integer polynomial that is a rational multiple of f, of
     degree d, and x = (a + ib)/s.  `_horner` gives H = s^d*F(x) and
     H' = s^(d-1)*F'(x), so |f/f'|^2 = |H|^2/(s^2*|H'|^2), reduced as one
-    Fraction at the end.
+    Fraction at the end.  With `paired`, the centers come in pairs a +- t
+    for an f with f(a + w) = g(w^2); then |f(a + t)| = |f(a - t)| and
+    |f'(a + t)| = |f'(a - t)|, so each pair is evaluated once and shares
+    its radius.
     """
     d = f.degree
     desc = primitive_coeffs(f.descending())
     radii = []
-    for re, im in centers:
+    for re, im in centers[::2] if paired else centers:
         s = math.lcm(re.denominator, im.denominator)
         hr, hi, dr, di = _horner(desc, re.numerator * (s // re.denominator),
                                  im.numerator * (s // im.denominator), s)
         den = dr * dr + di * di
         if den == 0:
             return None
-        radii.append(d * _sqrt_upper_pow2(Fraction(hr * hr + hi * hi, s * s * den)))
+        radius = d * _sqrt_upper_pow2(Fraction(hr * hr + hi * hi, s * s * den))
+        radii += [radius, radius] if paired else [radius]
     return radii
 
 
 def _pairwise_disjoint(disks: list) -> bool:
     """Exact check that closed disks (re, im, radius) are pairwise disjoint.
 
-    Disks sorted by the left end re - radius of their shadow on the real
-    axis; a disk whose shadow starts right of another's ends is disjoint
-    from it, and so is every disk after it.
+    Every coordinate is scaled by their common denominator, so the
+    comparisons run on ints.  Disks sorted by the left end re - radius of
+    their shadow on the real axis; a disk whose shadow starts right of
+    another's ends is disjoint from it, and so is every disk after it.
     """
-    edges = sorted(((re - rad, re + rad, re, im, rad) for re, im, rad in disks),
-                   key=lambda t: t[0])
+    den = math.lcm(*(x.denominator for disk in disks for x in disk))
+    edges = []
+    for disk in disks:
+        re, im, rad = (x.numerator * (den // x.denominator) for x in disk)
+        edges.append((re - rad, re + rad, re, im, rad))
+    edges.sort(key=lambda t: t[0])
     for i, (_, right, ri, ii, pi) in enumerate(edges):
         for left, _, rj, ij, pj in edges[i + 1:]:
             if left > right:
@@ -576,6 +611,59 @@ def _pairwise_disjoint(disks: list) -> bool:
     return True
 
 
+def _enclose(exact_roots: list, numeric: list, prec: int, degree: int) -> tuple:
+    """(the disks (re, im, radius) of each numeric factor, the precision):
+    the working precision starts at `prec` and doubles until these disks
+    and the exact roots are pairwise disjoint; PrecisionExceededError past
+    MAX_BITS."""
+    points = [(r, Fraction(0), Fraction(0)) for r, _ in exact_roots]
+    while True:
+        disks = []
+        for job in numeric:
+            centers = _centers(job, prec)
+            radii = _certify(job.f, centers, paired=job.a is not None)
+            if radii is None:
+                break
+            disks.append([(re, im, rad) for (re, im), rad in zip(centers, radii)])
+        else:
+            if _pairwise_disjoint(points + [d for ds in disks for d in ds]):
+                return disks, prec
+        if prec >= MAX_BITS:
+            raise PrecisionExceededError(
+                f"root disks not separated at {prec} bits "
+                f"(degree {degree}); inputs may have clustered roots")
+        prec *= 2
+
+
+def _rational_roots_in_disks(f: RationalPolynomial, disks: list) -> list:
+    """The rational roots of the square-free f, given disks (re, im, radius)
+    that hold one root of f each and every root between them.
+
+    A real root lies in a disk that meets the real axis, so in that disk's
+    shadow [re - radius, re + radius].  When these shadows are pairwise
+    disjoint, each holds no real root but its own disk's: a second one
+    would lie in a second disk, whose shadow it would share.  Both ends of
+    each shadow are tested exactly, and `rational_roots` takes the open
+    intervals, which are isolating or hold no root (a centre on the real
+    axis has its root real, since the mirror image of the disk holds the
+    same root).  Overlapping shadows, a case the precision loop leaves
+    only for disks far wider than their distance to the axis, fall back to
+    `rational_roots` on f's own isolation.
+    """
+    shadows = sorted((re - rad, re + rad) for re, im, rad in disks if abs(im) <= rad)
+    if any(lo <= hi for (_, hi), (lo, _) in zip(shadows, shadows[1:])):
+        return rational_roots(f)
+    ic = primitive_coeffs(f.coeffs)
+    found, intervals = [], []
+    for lo, hi in shadows:
+        ends = [x for x in (lo, hi) if not _sign_at(ic, x.numerator, x.denominator)]
+        if ends:
+            found += ends
+        elif lo < hi:
+            intervals.append((lo, hi))
+    return found + rational_roots(f, intervals) if intervals else found
+
+
 def certified_roots(p: RationalPolynomial,
                     precision_bits: int = START_BITS) -> OrderedRootSet:
     """All complex roots of p as certified disks covering every root.
@@ -583,39 +671,37 @@ def certified_roots(p: RationalPolynomial,
     The working precision starts at `precision_bits` and doubles until the
     disks are pairwise disjoint.  Raises PrecisionExceededError if that is
     not reached by MAX_BITS (never returns silently inexact output).
-    Rational roots are split off exactly and carry radius zero.  If p is
-    even about its centroid, the exact steps and the iteration run at half
-    the degree (see `_split` and `_centers`); otherwise a factor even about
-    its own centroid still gets the half-degree iteration.  Either way the
-    disks are certified on the numeric factor itself.  A cluster (in the
+    Rational roots are found exactly and carry radius zero: once the disks
+    are disjoint, the rational roots of each numeric factor are read off
+    the disks that meet the real axis (`_rational_roots_in_disks`).  If
+    any is found, `_split` divides them out and the precision loop runs
+    again from `precision_bits` on the rest.  If p is even about its
+    centroid, the decomposition and the iteration run at half the degree
+    (see `_split` and `_centers`); otherwise a factor even about its own
+    centroid still gets the half-degree iteration.  Either way the disks
+    are certified on the numeric factor itself.  A cluster (in the
     half-degree case, two roots of g close together) only raises the
-    precision.
+    precision.  So does a rational root clustered with another root, since
+    it is iterated before it is split off: one closer than about
+    2^-MAX_BITS * |x| to another root raises PrecisionExceededError.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    exact_roots, numeric = _split(p)
-    prec = precision_bits
+    known = set()
     while True:
+        exact_roots, numeric = _split(p, known)
+        disks, prec = _enclose(exact_roots, numeric, precision_bits, p.degree)
+        found = [x for job, ds in zip(numeric, disks)
+                 for x in _rational_roots_in_disks(job.f, ds)]
+        if found:
+            known.update(found)
+            continue
         roots = [CertifiedRoot(re=r, im=Fraction(0), radius=Fraction(0),
                                multiplicity=m) for r, m in exact_roots]
-        ok = True
-        for job in numeric:
-            centers = _centers(job, prec)
-            radii = _certify(job.f, centers)
-            if radii is None:
-                ok = False
-                break
-            for (re, im), rad in zip(centers, radii):
-                roots.append(CertifiedRoot(re=re, im=im, radius=rad,
-                                           multiplicity=job.mult))
-        if ok and _pairwise_disjoint([(r.re, r.im, r.radius) for r in roots]):
-            roots.sort(key=lambda r: (r.re, r.im))
-            return OrderedRootSet(roots=tuple(roots), precision_bits=prec)
-        if prec >= MAX_BITS:
-            raise PrecisionExceededError(
-                f"root disks not separated at {prec} bits "
-                f"(degree {p.degree}); inputs may have clustered roots")
-        prec *= 2
+        roots += [CertifiedRoot(re=re, im=im, radius=rad, multiplicity=job.mult)
+                  for job, ds in zip(numeric, disks) for re, im, rad in ds]
+        roots.sort(key=lambda r: (r.re, r.im))
+        return OrderedRootSet(roots=tuple(roots), precision_bits=prec)
 
 
 def real_part_position(root_set: OrderedRootSet, threshold):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,16 @@ def rand_poly(rng: random.Random, degree: int, coeff_range: int = 9) -> Rational
                            rng.randint(1, 4)) for _ in range(degree + 1)]
         if coeffs[-1] != 0:
             return RationalPolynomial(coeffs)
+
+
+def binomial_shift(p, a):
+    """p(z + a) by the binomial sum q_k = sum_{j>=k} c_j C(j, k) a^(j-k) in
+    Fractions."""
+    out = [Fraction(0)] * (p.degree + 1)
+    for j, cj in enumerate(p.coeffs):
+        for k in range(j + 1):
+            out[k] += cj * math.comb(j, k) * a ** (j - k)
+    return RationalPolynomial(out)
 
 
 def real_root_count(p: RationalPolynomial) -> int:

@@ -16,7 +16,7 @@ from esacert.exact import (RationalPolynomial, bareiss_det,
                            square_free_part)
 from esacert.exact import poly
 from esacert.exact.poly import real_root_factors, sturm_chain
-from conftest import rand_fraction, rand_poly
+from conftest import binomial_shift, rand_fraction, rand_poly
 
 Z = RationalPolynomial.variable()
 
@@ -55,6 +55,28 @@ class TestArithmetic:
             assert p(x) == (x - 2) * (x + F(1, 3)) * (x - F(7, 2))
 
 
+def fraction_rational_roots(p, intervals):
+    """`rational_roots` with every candidate tested by Fraction Horner and
+    every interval of positive width probed with its simplest rational."""
+    lc = abs(poly.primitive_coeffs(p.coeffs)[-1])
+    out = []
+    for lo, hi in intervals:
+        if lo < hi:
+            w = hi - lo
+            cand = simplest_between(lo + w / 8, hi - w / 8)
+            if p(cand) == 0:
+                lo = hi = cand
+            else:
+                lo, hi = refine_isolating_interval(p, lo, hi, F(1, lc))
+        if lo < hi:
+            cand = F(math.floor(lo * lc) + 1, lc)
+            if cand < hi and p(cand) == 0:
+                lo = hi = cand
+        if lo == hi:
+            out.append(lo)
+    return sorted(out)
+
+
 class TestShift:
     def test_identity_shift(self):
         p = Z ** 2
@@ -81,6 +103,16 @@ class TestShift:
             want = (F(1), F(-8), F(43, 2) + 2 * c1, F(-22) - 8 * c1,
                     F(105, 16) + F(19, 2) * c1 + c2)
             assert got == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.fractions(-10 ** 9, 10 ** 9, max_denominator=10 ** 6),
+                    max_size=13),
+           st.fractions(-10 ** 4, 10 ** 4, max_denominator=999).filter(
+               lambda a: a.denominator & (a.denominator - 1)))
+    def test_integer_shift_matches_binomial_sum(self, coeffs, a):
+        # a has a denominator that is not a power of two
+        p = RationalPolynomial(coeffs)
+        assert p.shift(a).coeffs == binomial_shift(p, a).coeffs
 
     def test_even_odd_split(self, rng):
         for _ in range(10):
@@ -325,6 +357,7 @@ class TestRationalRecognition:
     def test_rational_roots_found(self):
         p = RationalPolynomial.from_roots([F(19, 2), F(-105, 16), F(36864), F(-20480, 27)])
         assert rational_roots(p) == sorted([F(19, 2), F(-105, 16), F(36864), F(-20480, 27)])
+        assert rational_roots(p) == fraction_rational_roots(p, isolate_real_roots(p))
 
     def test_rational_roots_no_false_positives(self, rng):
         for _ in range(10):
@@ -332,14 +365,38 @@ class TestRationalRecognition:
             sf = square_free_part(p)
             for r in rational_roots(sf):
                 assert sf(r) == 0
+            assert rational_roots(sf) == fraction_rational_roots(sf, isolate_real_roots(sf))
 
     def test_irrational_roots_simply_omitted(self):
         assert rational_roots(Z * Z - 2) == []
+        assert fraction_rational_roots(Z * Z - 2, isolate_real_roots(Z * Z - 2)) == []
 
     def test_root_off_the_probe_points(self):
         # -15 sits 1/17 of the way along the Cauchy interval [-17, 17], so
         # no bisection point of that interval is -15
         assert rational_roots(Z + 15) == [F(-15)]
+        assert fraction_rational_roots(Z + 15, isolate_real_roots(Z + 15)) == [F(-15)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sets(st.builds(F, st.integers(-10 ** 12, 10 ** 12),
+                             st.integers(1, 10 ** 9)), min_size=1, max_size=4),
+           st.integers(-50, 50), st.integers(-10 ** 6, 10 ** 6),
+           st.integers(0, 3))
+    def test_same_roots_as_fraction_tests(self, roots, a, b, squeeze):
+        # on the isolating intervals and on the same intervals bisected to
+        # 2/lc or below 1/lc, the integer sign tests give the list the
+        # Fraction Horner tests (with the probe at every width) give
+        if b >= 0 and math.isqrt(b) ** 2 == b:
+            b = -b - 1
+        p = RationalPolynomial.from_roots(roots) * ((Z - a) ** 2 - b)
+        intervals = isolate_real_roots(p)
+        lc = abs(poly.primitive_coeffs(p.coeffs)[-1])
+        near = [refine_isolating_interval(p, lo, hi, F(2, lc)) for lo, hi in intervals]
+        narrow = [refine_isolating_interval(p, lo, hi, F(1, lc * 2 ** squeeze))
+                  for lo, hi in intervals]
+        for ivs in (intervals, near, narrow):
+            assert rational_roots(p, ivs) == fraction_rational_roots(p, ivs)
+        assert rational_roots(p) == sorted(roots)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sets(st.builds(F, st.integers(-10 ** 12, 10 ** 12),

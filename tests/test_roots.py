@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esacert import roots
+from esacert.exact import poly
 from esacert.exact import (RationalPolynomial, exact_real_roots, rational_roots,
+                           rational_sqrt, real_root_factors,
                            square_free_decomposition)
 from esacert.indicial import IndicialSpec, build_indicial, euler_quartic
-from esacert.roots import (MAX_BITS, START_BITS, CertifiedRoot,
-                           RealPartPosition, Unresolved, _aberth, _certify,
-                           _even_about_centroid, _float_seeds,
+from esacert.roots import (MAX_BITS, START_BITS, CertifiedRoot, OrderedRootSet,
+                           RealPartPosition, Unresolved, _NumericFactor, _aberth,
+                           _certify, _even_about_centroid, _float_seeds,
                            _min_cost_assignment, _pairwise_disjoint,
-                           _split, _sqrt_upper_pow2,
+                           _rational_roots_in_disks, _split, _sqrt_upper_pow2,
                            certified_roots, label_trajectories,
                            real_part_position, root_trajectories,
                            trajectory_table)
@@ -303,10 +305,12 @@ class TestHalvedPath:
         assert all(r.exact for r in rs.roots)
 
     def test_odd_degree_splits_off_the_centre(self, monkeypatch):
+        # the pass at degree 3 finds 3/2 on its disks; once 3/2 is split
+        # off, the rest is even about 3/2 and iterated at degree 1
         degrees = self._aberth_degrees(monkeypatch)
         p = (Z - F(3, 2)) * ((Z - F(3, 2)) ** 2 + 1)
         rs = certified_roots(p)
-        assert degrees == [1]
+        assert degrees == [3, 1]
         assert [(r.re, r.im) for r in rs.roots] == [
             (F(3, 2), -1), (F(3, 2), 0), (F(3, 2), 1)]
 
@@ -325,6 +329,7 @@ def _full_degree_split(p):
 
 _small = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 _positive = _small.map(abs).filter(lambda q: q != 0)
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 
 
 @st.composite
@@ -355,10 +360,12 @@ class TestHalfDegreeSplit:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(paired_products())
     def test_matches_full_degree_split(self, case):
+        # given p's rational roots, the split at half the degree divides out
+        # what the split on p itself does
         a, p = case
         assert _even_about_centroid(p)[0] == a
-        exact, numeric = _split(p)
         full_exact, full_numeric = _full_degree_split(p)
+        exact, numeric = _split(p, {r for r, _ in full_exact})
         assert sorted(exact) == full_exact
         assert sorted(((job.mult, job.f) for job in numeric),
                       key=lambda t: t[0]) == full_numeric
@@ -367,23 +374,188 @@ class TestHalfDegreeSplit:
 
     def test_exact_steps_run_at_half_degree(self, monkeypatch):
         degrees = []
-        for name in ("real_root_factors", "rational_roots"):
-            fn = getattr(roots, name)
+        decompose = roots._decompose
 
-            def spy(q, *args, fn=fn):
-                degrees.append(q.degree)
-                return fn(q, *args)
+        def spy(q):
+            degrees.append(q.degree)
+            return decompose(q)
 
-            monkeypatch.setattr(roots, name, spy)
+        def isolate(*args):
+            raise AssertionError("isolate_real_roots called")
+
+        monkeypatch.setattr(roots, "_decompose", spy)
+        monkeypatch.setattr(poly, "isolate_real_roots", isolate)
         certified_roots(build_indicial(IndicialSpec(5, 20, 0, F(15 * 10 ** 9))))
-        assert degrees == [5, 5]
+        assert degrees == [5]
 
     def test_rational_squares_are_exact(self):
         w2 = (Z - F(1, 3)) ** 2
         p = (w2 - F(4, 9)) ** 2 * w2 * (w2 - 2) * (w2 + 1)
+        # y = 0 is split off before any iteration; y = 4/9 once its roots
+        # -1/3 and 1 are known
         exact, numeric = _split(p)
+        assert exact == [(F(1, 3), 2)]
+        exact, numeric = _split(p, {F(-1, 3), F(1)})
         assert sorted(exact) == [(F(-1, 3), 2), (F(1, 3), 2), (F(1), 2)]
         assert [(job.mult, job.f.degree, job.real) for job in numeric] == [(1, 4, 2)]
+        rs = certified_roots(p)
+        assert [(r.re, r.multiplicity) for r in rs.roots if r.exact and r.im == 0] == [
+            (F(-1, 3), 2), (F(1, 3), 2), (F(1), 2)]
+
+
+def _isolation_first_split(p):
+    """The exact roots and `_NumericFactor`s of p with every rational root
+    split off before any iteration: Sturm isolation of each square-free
+    factor (of G at half the degree when p(a + w) = G(w^2)) and
+    `rational_roots` on its intervals; a root y of G that is a rational
+    square s^2 gives a +- s."""
+    half = _even_about_centroid(p)
+    exact, numeric = [], []
+    if half is None:
+        for f, mult, intervals in real_root_factors(p):
+            for r in rational_roots(f, intervals):
+                f = f.divide_exact(RationalPolynomial((-r, 1)))
+                exact.append((r, mult))
+            if f.degree >= 1:
+                f = f.monic()
+                numeric.append(_NumericFactor(f, mult, *(_even_about_centroid(f) or ())))
+        return exact, numeric
+    a, big_g = half
+    for g, mult, intervals in real_root_factors(big_g):
+        real = len(intervals)
+        for y in rational_roots(g, intervals):
+            s = rational_sqrt(y)
+            if s is None:
+                continue
+            g = g.divide_exact(RationalPolynomial((-y, 1)))
+            real -= 1
+            exact += [(a, 2 * mult)] if s == 0 else [(a - s, mult), (a + s, mult)]
+        if g.degree >= 1:
+            g = g.monic()
+            if 2 * g.degree == p.degree:
+                f = p.monic()
+            else:
+                f = RationalPolynomial([c for gk in g.coeffs for c in (gk, 0)][:-1])
+                f = f.shift(-a)
+            numeric.append(_NumericFactor(f, mult, a, g, real))
+    return exact, numeric
+
+
+def _disjoint_by_fractions(disks):
+    """Every pair of closed disks (re, im, radius) compared in Fractions."""
+    return all((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 > (a[2] + b[2]) ** 2
+               for a, b in itertools.combinations(disks, 2))
+
+
+def _isolation_first_roots(p, prec=START_BITS):
+    """`certified_roots` from `_isolation_first_split`: every centre gets
+    its own certificate, and the disks are compared in Fractions."""
+    exact, numeric = _isolation_first_split(p)
+    while prec <= MAX_BITS:
+        found = [CertifiedRoot(re=r, im=F(0), radius=F(0), multiplicity=m)
+                 for r, m in exact]
+        for job in numeric:
+            centers = roots._centers(job, prec)
+            radii = _certify(job.f, centers)
+            if radii is None:
+                break
+            found += [CertifiedRoot(re=re, im=im, radius=rad, multiplicity=job.mult)
+                      for (re, im), rad in zip(centers, radii)]
+        else:
+            if _disjoint_by_fractions([(r.re, r.im, r.radius) for r in found]):
+                found.sort(key=lambda r: (r.re, r.im))
+                return OrderedRootSet(roots=tuple(found), precision_bits=prec)
+        prec *= 2
+    raise AssertionError("isolation-first disks not separated at MAX_BITS")
+
+
+_huge = st.builds(lambda u, k: F(u, 10 ** 42 + k),
+                  st.integers(-10 ** 45, 10 ** 45), st.integers(1, 10 ** 6))
+
+
+@st.composite
+def split_cases(draw):
+    """Products of a zero root, small rational roots, rational roots with
+    denominators above 10^42 and quadratics, each factor possibly squared;
+    products even about a centre (`paired_products`: y = 0, rational
+    squares y, squared factors); and a rational root 10^-30 or 10^-100 from
+    an irrational pair, about a centre and about none."""
+    kind = draw(st.sampled_from(("product", "paired", "near")))
+    if kind == "paired":
+        return draw(paired_products())[1]
+    if kind == "near":
+        r = draw(_small)
+        d = F(1, 10 ** draw(st.sampled_from((30, 100))))
+        real = draw(st.booleans())   # a real or a complex pair
+        if draw(st.booleans()):   # r +- d and r +- sqrt(2) d or r +- i d
+            return ((Z - r) ** 2 - d * d) * ((Z - r) ** 2 - (2 if real else -1) * d * d)
+        # r and r + d +- sqrt(2) d or r + d +- i sqrt(2) d
+        return (Z - r) * ((Z - r - d) ** 2 - (2 if real else -2) * d * d)
+    p = RationalPolynomial.one()
+    for _ in range(draw(st.integers(1, 4))):
+        factor = draw(st.sampled_from(("zero", "rational", "huge", "quadratic")))
+        f = {"zero": lambda: Z,
+             "rational": lambda: Z - draw(_small),
+             "huge": lambda: Z - draw(_huge),
+             "quadratic": lambda: RationalPolynomial((draw(_small), draw(_small), 1)),
+             }[factor]()
+        p = p * f ** draw(st.integers(1, 2))
+    return p
+
+
+class TestSplitOnDisks:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(split_cases())
+    def test_matches_isolation_first(self, p):
+        assert certified_roots(p) == _isolation_first_roots(p)
+
+    @pytest.mark.parametrize("p", (
+        Z ** 2 * (Z * Z + Z + 1),                         # a zero root
+        Z ** 3 * (Z - F(5, 3)) * (Z * Z + 3),             # with 0 as the centroid
+        (Z - F(7, 5)) ** 2 * ((Z - F(7, 5)) ** 2 + 1),    # y = 0
+        (Z - F(7, 5)) ** 4 * ((Z - F(7, 5)) ** 2 - 3),
+    ))
+    def test_zero_and_centre_split_before_iteration(self, p):
+        assert certified_roots(p) == _isolation_first_roots(p)
+
+    @pytest.mark.parametrize("e", (30, 100))
+    def test_rational_root_near_an_irrational_pair(self, e):
+        # the detection pass escalates for the cluster; the final pass runs
+        # on the parent's factors and returns the isolation-first disks
+        d = F(1, 10 ** e)
+        p = (Z - F(3, 7)) * ((Z - F(3, 7) - d) ** 2 - 2 * d * d) * (Z * Z + 1)
+        rs = certified_roots(p)
+        assert rs == _isolation_first_roots(p)
+        assert [r.re for r in rs.roots if r.exact and r.im == 0] == [F(3, 7)]
+
+    def test_shadow_end_is_a_root(self):
+        f = ((Z - 1) * (Z * Z + 1)).monic()
+        disks = [(F(3, 4), F(0), F(1, 4)), (F(0), F(1), F(1, 8)), (F(0), F(-1), F(1, 8))]
+        assert _rational_roots_in_disks(f, disks) == [F(1)]
+
+    def test_overlapping_shadows_isolate_f(self):
+        # the two disks meet the axis off centre and their shadows overlap:
+        # f's own isolation decides
+        f = ((Z - 1) * (Z - F(3, 2))).monic()
+        disks = [(F(1), F(3, 10), F(7, 20)), (F(3, 2), F(-3, 10), F(7, 20))]
+        assert _rational_roots_in_disks(f, disks) == [F(1), F(3, 2)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(_rationals, _rationals,
+                              st.fractions(0, 20, max_denominator=30)),
+                    max_size=8))
+    def test_disjointness_in_integers(self, disks):
+        assert _pairwise_disjoint(disks) == _disjoint_by_fractions(disks)
+
+    @pytest.mark.parametrize("disks", (
+        [(F(0), F(0), F(1)), (F(2), F(0), F(1))],
+        [(F(1, 3), F(0), F(2, 7)), (F(1, 3), F(4, 7), F(2, 7))],
+        [(F(0), F(0), F(2, 3)), (F(3, 5), F(4, 5), F(1, 3)), (F(9), F(0), F(0))],
+    ))
+    def test_touching_disks_meet(self, disks):
+        # closed disks whose centres are exactly the sum of the radii apart
+        assert not _pairwise_disjoint(disks)
+        assert not _disjoint_by_fractions(disks)
 
 
 class TestAxisRoots:
@@ -564,7 +736,6 @@ def _certify_by_fractions(f, centers):
     return radii
 
 
-_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 _dyadics = st.builds(lambda a, k: F(a, 2 ** k),
                      st.integers(-10 ** 12, 10 ** 12), st.integers(0, 60))
 _centers = st.tuples(_dyadics, st.one_of(st.just(F(0)), _dyadics))

@@ -22,7 +22,7 @@ from esacert.stability import (CRITICAL_RE, HalfPlaneCount, HurwitzData,
                                hurwitz_assemble, hurwitz_matrix,
                                hurwitz_minors, quartic_classify)
 import earlier_kernel
-from conftest import rand_fraction, rand_poly, real_root_count
+from conftest import binomial_shift, rand_fraction, rand_poly, real_root_count
 
 Z = RationalPolynomial.variable()
 HALF = F(1, 2)
@@ -301,6 +301,20 @@ class TestAxisRoots:
                 lhs = p.eval_mp(mp.mp, z)
                 assert abs(lhs.real - float(P(tv))) < 1e-9 * (1 + abs(lhs.real))
                 assert abs(lhs.imag - float(Q(tv))) < 1e-9 * (1 + abs(lhs.imag))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(2, 14), st.integers(0, 4),
+           st.fractions(-10 ** 12, 10 ** 12, max_denominator=10 ** 6))
+    def test_critical_line_parts_on_indicial_specs(self, m, n, l, c):
+        # the parts from the integer Taylor shift equal those read off the
+        # binomial-sum shift in Fractions
+        p = build_indicial(IndicialSpec(m, n, l, c))
+        b = binomial_shift(p, F(-1, 2)).coeffs
+        i_pow = [1, 1, -1, -1]   # i^k = i_pow[k % 4] * (1 or i)
+        want_re = [i_pow[k % 4] * bk if k % 2 == 0 else 0 for k, bk in enumerate(b)]
+        want_im = [i_pow[k % 4] * bk if k % 2 else 0 for k, bk in enumerate(b)]
+        assert critical_line_parts(p) == (RationalPolynomial(want_re),
+                                          RationalPolynomial(want_im))
 
     def test_conjugate_axis_pair(self):
         roots = axis_roots_exact((Z + F(1, 2)) * (Z + F(1, 2)) + 2)
