@@ -16,6 +16,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -405,7 +406,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader went away (`esacert ... | head`); point stdout at devnull
+        # so that the flush at exit does not fail again, as the `signal`
+        # documentation recommends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -152,7 +152,7 @@ def esa_decide_radial(spec: IndicialSpec, with_certificate: bool = True) -> EsaV
             "m": spec.m,
             "indicial_coefficients": [str(c) for c in poly.coeffs],
             "halfplane": count.to_json(),
-            "axis_parameters": [t.to_json() for t in axis],
+            "axis_parameters": [value_to_json(t) for t in axis],
             "hurwitz_det_at_c": str(hd.det_in_c(spec.c)),
         }
     return EsaVerdict(spec=spec,
@@ -346,23 +346,14 @@ def gamma_threshold(m: int, n: int, l: int) -> Value:
 def intersect_pieces(a: Sequence[RegionPiece], b: Sequence[RegionPiece]) -> list:
     out = []
     i = j = 0
-    a, b = list(a), list(b)
     while i < len(a) and j < len(b):
         lo = a[i].lo if value_cmp(a[i].lo, b[j].lo) >= 0 else b[j].lo
-        if a[i].hi is POS_INF:
-            hi = b[j].hi
-        elif b[j].hi is POS_INF:
-            hi = a[i].hi
-        else:
-            hi = a[i].hi if value_cmp(a[i].hi, b[j].hi) <= 0 else b[j].hi
-        if hi is POS_INF or value_cmp(lo, hi) <= 0:
+        a_first = value_cmp(a[i].hi, b[j].hi) <= 0   # POS_INF orders last
+        hi = a[i].hi if a_first else b[j].hi
+        if value_cmp(lo, hi) <= 0:
             out.append(RegionPiece(lo=lo, hi=hi))
         # advance the piece that ends first
-        if a[i].hi is POS_INF:
-            j += 1
-        elif b[j].hi is POS_INF:
-            i += 1
-        elif value_cmp(a[i].hi, b[j].hi) <= 0:
+        if a_first:
             i += 1
         else:
             j += 1
@@ -422,10 +413,7 @@ def gamma3_closed_form(n: int) -> Value:
     p = 7112 + 504 * n - 126 * n * n
     q = 236 + 12 * n - 3 * n * n
     c = 964 + 60 * n - 15 * n * n
-    surd = AlgebraicReal.from_quadratic_surd(Fraction(64 * p, 27), Fraction(64 * q, 27), c)
-    if surd.is_rational:
-        return surd.rational_value
-    return surd
+    return AlgebraicReal.from_quadratic_surd(Fraction(64 * p, 27), Fraction(64 * q, 27), c)
 
 
 def oracle_threshold(m: int, n: int) -> Optional[EsaRegion]:

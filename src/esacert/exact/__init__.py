@@ -10,8 +10,6 @@ from .poly import (
     char_poly,
     char_poly_coeffs,
     count_real_roots,
-    det_fractions,
-    discriminant,
     gcd_and_cauchy_index,
     isolate_real_roots,
     poly_gcd,
@@ -19,7 +17,6 @@ from .poly import (
     rational_roots,
     real_root_factors,
     refine_isolating_interval,
-    resultant,
     simplest_between,
     square_free_decomposition,
     square_free_part,
@@ -37,8 +34,6 @@ __all__ = [
     "char_poly",
     "char_poly_coeffs",
     "count_real_roots",
-    "det_fractions",
-    "discriminant",
     "exact_real_roots",
     "gcd_and_cauchy_index",
     "value_compare",
@@ -49,7 +44,6 @@ __all__ = [
     "rational_sqrt",
     "real_root_factors",
     "refine_isolating_interval",
-    "resultant",
     "simplest_between",
     "sqrt_bounds",
     "square_free_decomposition",

@@ -1,13 +1,19 @@
-"""Real algebraic numbers as (square-free defining polynomial, isolating interval).
+"""Irrational real algebraic numbers as (square-free defining polynomial,
+isolating interval).
 
 An AlgebraicReal carries an integer-primitive square-free polynomial and a
-rational interval [lo, hi] containing exactly one of its real roots.  The
-interval is the mutable refinement cache; everything else is frozen.  A
-rational value is represented by a collapsed interval lo == hi.
+rational interval (lo, hi), lo < hi, holding exactly one of its real roots,
+which is irrational; neither end is a root.  The interval is the mutable
+refinement cache; everything else is frozen.  A rational value is always a
+plain Fraction: `exact_real_roots` and `from_quadratic_surd` return one, and
+the validating constructor rejects an interval around a rational root.  So
+no bisection point ever hits the root, and refinement keeps both ends off
+the roots of the defining polynomial.
 
-Comparisons against rationals and other AlgebraicReals are exact: equality is
-decided through a gcd of the defining polynomials, inequality by refining the
-isolating intervals until they separate.
+Comparisons against rationals and other AlgebraicReals are exact: equality
+with an AlgebraicReal is decided through a gcd of the defining polynomials
+(a rational is never equal), inequality by refining the isolating intervals
+until they separate.
 """
 
 from __future__ import annotations
@@ -54,29 +60,27 @@ def rational_sqrt(q: Fraction):
 
 
 class AlgebraicReal:
-    """Exact real algebraic number with on-demand interval refinement."""
+    """Exact irrational real algebraic number with on-demand interval refinement."""
 
     __slots__ = ("defining", "_lo", "_hi")
+    is_rational = False
 
     def __init__(self, defining: RationalPolynomial, lo, hi, validate: bool = True):
         lo, hi = as_fraction(lo), as_fraction(hi)
-        if lo > hi:
-            raise ValueError("empty isolating interval")
-        # unvalidated input is square-free by contract (`exact_real_roots`,
-        # pickles); .monic() makes the leading coefficient positive, as
-        # square_free_part does
+        if lo >= hi:
+            raise ValueError("isolating interval needs lo < hi")
+        # unvalidated input is square-free with no rational root in (lo, hi)
+        # by contract (`exact_real_roots`, pickles); .monic() makes the
+        # leading coefficient positive, as square_free_part does
         defining = primitive_part(square_free_part(defining) if validate
                                   else defining.monic())
         if validate:
-            if lo == hi:
-                if defining(lo) != 0:
-                    raise ValueError("collapsed interval is not a root")
-            else:
-                inside = count_real_roots(defining, lo, hi)
-                if defining(lo) == 0:
-                    inside += 1
-                if inside != 1:
-                    raise ValueError("interval does not isolate exactly one root")
+            if defining(lo) == 0 or defining(hi) == 0:
+                raise ValueError("an end of the interval is a root")
+            if count_real_roots(defining, lo, hi) != 1:
+                raise ValueError("interval does not isolate exactly one root")
+            if rational_roots(defining, [(lo, hi)]):
+                raise ValueError("the isolated root is rational; use a Fraction")
         object.__setattr__(self, "defining", defining)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
@@ -90,17 +94,18 @@ class AlgebraicReal:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rational(cls, q) -> "AlgebraicReal":
-        q = as_fraction(q)
-        return cls(RationalPolynomial((-q, 1)), q, q, validate=False)
-
-    @classmethod
-    def from_quadratic_surd(cls, a, b, c) -> "AlgebraicReal":
-        """The number a + b*sqrt(c) with a, b, c rational and c >= 0."""
+    def from_quadratic_surd(cls, a, b, c):
+        """The number a + b*sqrt(c) with a, b, c rational and c >= 0: a
+        Fraction when b = 0 or c is a square, else an AlgebraicReal."""
         a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
+        if c < 0:
+            raise ValueError("negative radicand")
+        root = rational_sqrt(c)
+        if root is not None:
+            return a + b * root
+        if b == 0:
+            return a
         slo, shi = sqrt_bounds(c, Fraction(1, 1 << 24))
-        if slo * slo == c:
-            return cls.from_rational(a + b * slo)
         lo = a + (b * slo if b >= 0 else b * shi)
         hi = a + (b * shi if b >= 0 else b * slo)
         # minimal polynomial: (z - a)^2 - b^2 c
@@ -113,16 +118,6 @@ class AlgebraicReal:
     @property
     def interval(self) -> tuple:
         return self._lo, self._hi
-
-    @property
-    def is_rational(self) -> bool:
-        return self._lo == self._hi
-
-    @property
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not known to be rational")
-        return self._lo
 
     def refine(self, max_width) -> tuple:
         """Shrink the isolating interval to width <= max_width; returns it.
@@ -140,62 +135,40 @@ class AlgebraicReal:
     # -- comparisons ----------------------------------------------------------
 
     def _cmp_rational(self, q: Fraction) -> int:
-        if self.is_rational:
-            v = self._lo
-            return (v > q) - (v < q)
-        if self.defining(q) == 0 and self._lo <= q <= self._hi:
-            return 0
         lo, hi = self._lo, self._hi
-        while lo <= q <= hi:
+        while lo <= q <= hi:   # ends, since the value is not q
             lo, hi = self.refine((hi - lo) / 4)
-            if lo == hi:
-                break
-        if self.is_rational:
-            v = self._lo
-            return (v > q) - (v < q)
-        if q <= lo:
-            return 1
-        return -1
+        return 1 if q < lo else -1
 
     def compare(self, other) -> int:
         """Exact three-way comparison with a rational or AlgebraicReal."""
-        if isinstance(other, AlgebraicReal):
-            if other.is_rational:
-                return self._cmp_rational(other.rational_value)
-            if self.is_rational:
-                return -other._cmp_rational(self.rational_value)
-            if self.equals(other):
-                return 0
-            while True:
-                alo, ahi = self.interval
-                blo, bhi = other.interval
-                if ahi < blo:
-                    return -1
-                if bhi < alo:
-                    return 1
-                self.refine((ahi - alo) / 4 if ahi > alo else Fraction(1, 4))
-                other.refine((bhi - blo) / 4 if bhi > blo else Fraction(1, 4))
-        return self._cmp_rational(as_fraction(other))
+        if not isinstance(other, AlgebraicReal):
+            return self._cmp_rational(as_fraction(other))
+        if self.equals(other):
+            return 0
+        while True:
+            alo, ahi = self.interval
+            blo, bhi = other.interval
+            if ahi < blo:
+                return -1
+            if bhi < alo:
+                return 1
+            self.refine((ahi - alo) / 4)
+            other.refine((bhi - blo) / 4)
 
     def equals(self, other) -> bool:
-        if isinstance(other, AlgebraicReal):
-            if self.is_rational or other.is_rational:
-                return self.compare(other) == 0 if not (self.is_rational and other.is_rational) \
-                    else self._lo == other._lo
-            lo = max(self._lo, other._lo)
-            hi = min(self._hi, other._hi)
-            if lo > hi:
-                return False
-            g = poly_gcd(self.defining, other.defining)
-            if g.degree < 1:
-                return False
-            # any root of g inside both isolating intervals must be the root
-            # each interval isolates, hence the two numbers coincide
-            inside = count_real_roots(g, lo, hi)
-            if g(lo) == 0 and self._lo <= lo <= self._hi and other._lo <= lo <= other._hi:
-                inside += 1
-            return inside >= 1
-        return self._cmp_rational(as_fraction(other)) == 0
+        """Exact equality; never true for a rational `other`."""
+        if not isinstance(other, AlgebraicReal):
+            return False
+        lo = max(self._lo, other._lo)
+        hi = min(self._hi, other._hi)
+        if lo >= hi:
+            return False
+        g = poly_gcd(self.defining, other.defining)
+        # a root of g in (lo, hi] lies inside both isolating intervals (hi is
+        # an end of one of them, so not a root), hence it is the root each
+        # interval isolates and the two numbers coincide
+        return g.degree >= 1 and count_real_roots(g, lo, hi) >= 1
 
     def __eq__(self, other):
         if isinstance(other, (AlgebraicReal, Fraction, int)):
@@ -217,21 +190,17 @@ class AlgebraicReal:
     # -- rendering ---------------------------------------------------------------
 
     def __float__(self):
-        lo, hi = self.refine(Fraction(1, 1 << 80)) if not self.is_rational else self.interval
+        lo, hi = self.refine(Fraction(1, 1 << 80))
         return float((lo + hi) / 2)
 
     def approx(self, digits: int = 12) -> Fraction:
         """Rational midpoint approximation accurate to the requested decimals."""
-        if self.is_rational:
-            return self._lo
         scale = max(1, abs(math.floor(float(self))))
         lo, hi = self.refine(Fraction(scale, 10 ** (digits + 2)))
         return (lo + hi) / 2
 
     def decimal(self, significant: int = 6) -> str:
         """Decimal rendering with the requested number of significant digits."""
-        if self.is_rational and self._lo.denominator == 1:
-            return str(self._lo.numerator)
         mid = self.approx(significant + 4)
         if mid == 0:
             return "0"
@@ -245,14 +214,10 @@ class AlgebraicReal:
 
     def __repr__(self):
         lo, hi = self.interval
-        if self.is_rational:
-            return f"AlgebraicReal({lo})"
         return f"AlgebraicReal(deg={self.defining.degree}, in [{lo}, {hi}])"
 
     def to_json(self) -> dict:
         lo, hi = self.interval
-        if self.is_rational:
-            return {"type": "rational", "value": str(self._lo)}
         return {
             "type": "algebraic",
             "defining": [str(c) for c in self.defining.coeffs],

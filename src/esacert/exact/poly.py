@@ -12,9 +12,8 @@ point enters any code path.  Provided machinery:
   and Cauchy index, and for (p, p') the Sturm chain; Yun square-free
   decomposition; `real_root_factors`, the one place that isolates real
   roots in rational intervals; counting, bisection refinement,
-* resultants and discriminants via integer Sylvester determinants
-  (fraction-free Bareiss after clearing each polynomial's denominators),
-  characteristic polynomials (Berkowitz, over the integers or Q),
+* fraction-free Bareiss determinants of integer matrices, characteristic
+  polynomials (Berkowitz, over the integers or Q),
 * complete rational-root detection (rational root theorem on refined
   isolating intervals, each candidate tested by the integer sign of the
   primitive polynomial).
@@ -487,6 +486,7 @@ def isolate_real_roots(p: RationalPolynomial, chain=None) -> list:
         return []
     if chain is None:
         chain = sturm_chain(p)
+    ic = primitive_coeffs(p.coeffs)
     bound = cauchy_root_bound(p)
     lo0, hi0 = -bound, bound
 
@@ -496,6 +496,11 @@ def isolate_real_roots(p: RationalPolynomial, chain=None) -> list:
     def count(a: Fraction, b: Fraction) -> int:
         return var(a) - var(b)
 
+    def is_root(x: Fraction) -> bool:
+        return _sign_at(ic, x.numerator, x.denominator) == 0
+
+    # no left end is a root: -bound is not, a pushed mid failed is_root, and
+    # (mid - w, mid + w] holds the root mid only
     out = []
     stack = [(lo0, hi0, var(lo0), var(hi0))]
     while stack:
@@ -504,21 +509,10 @@ def isolate_real_roots(p: RationalPolynomial, chain=None) -> list:
         if n == 0:
             continue
         if n == 1:
-            if p(hi) == 0:
-                out.append((hi, hi))
-                continue
-            # make sure the left endpoint is not itself a root of p
-            while p(lo) == 0:
-                step = (hi - lo) / 4
-                cand = lo + step
-                while not (count(cand, hi) == 1 and p(cand) != 0):
-                    step /= 2
-                    cand = lo + step
-                lo = cand
-            out.append((lo, hi))
+            out.append((hi, hi) if is_root(hi) else (lo, hi))
             continue
         mid = (lo + hi) / 2
-        if p(mid) == 0:
+        if is_root(mid):
             out.append((mid, mid))
             w = (hi - lo) / 4
             while count(mid - w, mid + w) != 1:
@@ -577,7 +571,7 @@ def real_root_factors(p: RationalPolynomial) -> list:
     return [(f, mult, isolate_real_roots(f, chain)) for f, mult in factors]
 
 
-# -- resultants -----------------------------------------------------------------
+# -- determinants ---------------------------------------------------------------
 
 
 def bareiss_det(rows: list) -> int:
@@ -601,15 +595,6 @@ def bareiss_det(rows: list) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def det_fractions(rows: list) -> Fraction:
-    """Exact determinant of a square matrix of Fractions."""
-    if not rows:
-        return Fraction(1)
-    rows = [clear_denominators([as_fraction(c) for c in row]) for row in rows]
-    return Fraction(bareiss_det([ints for ints, _ in rows]),
-                    math.prod(den for _, den in rows))
 
 
 def char_poly_coeffs(rows: list) -> list:
@@ -636,37 +621,6 @@ def char_poly(rows: list) -> RationalPolynomial:
     """det(x I - A) of a square matrix of ints or Fractions
     (char_poly_coeffs)."""
     return RationalPolynomial(char_poly_coeffs(rows))
-
-
-def resultant(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:
-    """Resultant via the Sylvester matrix, exactly.
-
-    With p = P / d_p and q = Q / d_q for integer P, Q and the least common
-    denominators d_p, d_q, res(p, q) = res(P, Q) / (d_p^deg q * d_q^deg p),
-    and res(P, Q) is the Bareiss determinant of an integer matrix.
-    """
-    m, n = p.degree, q.degree
-    if m < 0 or n < 0:
-        return Fraction(0)
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    pd, dp = clear_denominators(p.descending())
-    qd, dq = clear_denominators(q.descending())
-    rows = [[0] * i + pd + [0] * (size - m - 1 - i) for i in range(n)]
-    rows += [[0] * i + qd + [0] * (size - n - 1 - i) for i in range(m)]
-    return Fraction(bareiss_det(rows), dp ** n * dq ** m)
-
-
-def discriminant(p: RationalPolynomial) -> Fraction:
-    """disc(p) = (-1)^(d(d-1)/2) * res(p, p') / lc(p)."""
-    d = p.degree
-    if d < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.leading
 
 
 # -- continued-fraction utilities -------------------------------------------------

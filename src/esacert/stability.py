@@ -48,10 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from .exact import (AlgebraicReal, RationalPolynomial, bareiss_det,
-                    char_poly_coeffs, count_real_roots, exact_real_roots,
-                    gcd_and_cauchy_index, poly_gcd, real_root_factors,
-                    square_free_decomposition)
+from .exact import (RationalPolynomial, bareiss_det, char_poly_coeffs,
+                    count_real_roots, exact_real_roots, gcd_and_cauchy_index,
+                    poly_gcd, real_root_factors, square_free_decomposition)
 from .exact.poly import clear_denominators
 from .indicial import euler_quartic, indicial_product
 
@@ -234,23 +233,16 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
 def critical_line_parts(p: RationalPolynomial) -> tuple:
     """Real and imaginary parts of p(-1/2 + i t) as polynomials in t."""
     b = p.shift(CRITICAL_RE).coeffs  # p(-1/2 + it) = sum b_k (it)^k
-    re, im = [], []
+    re, im = [0] * len(b), [0] * len(b)
     for k, c in enumerate(b):
-        if k % 2 == 0:
-            sign = -1 if (k // 2) % 2 else 1
-            while len(re) <= k:
-                re.append(Fraction(0))
-            re[k] = sign * c
-        else:
-            sign = -1 if (k // 2) % 2 else 1
-            while len(im) <= k:
-                im.append(Fraction(0))
-            im[k] = sign * c
+        # i^k is 1, i, -1, -i as k is 0, 1, 2, 3 mod 4
+        (im if k % 2 else re)[k] = -c if k % 4 >= 2 else c
     return RationalPolynomial(re), RationalPolynomial(im)
 
 
 def axis_roots_exact(p: RationalPolynomial) -> list:
-    """All real t with p(-1/2 + i t) = 0, as exact AlgebraicReal values.
+    """All real t with p(-1/2 + i t) = 0, sorted: a Fraction for a rational
+    t, an AlgebraicReal otherwise.
 
     Substitutes z = -1/2 + i t, splits into real and imaginary parts P, Q
     in Q[t]; the axis parameters are the real roots of gcd(P, Q).
@@ -261,8 +253,7 @@ def axis_roots_exact(p: RationalPolynomial) -> list:
     g = poly_gcd(P, Q)
     if g.degree < 1:
         return []
-    return [v if isinstance(v, AlgebraicReal) else AlgebraicReal.from_rational(v)
-            for v in exact_real_roots(g)]
+    return exact_real_roots(g)
 
 
 # -- half-plane counting -----------------------------------------------------------

@@ -18,6 +18,10 @@ both sides is left undecided there.
 The quartic invariants as they were before they were taken on cleared
 integer coefficients: the discriminant by `discriminant` (a Sylvester
 resultant) and Pi and Lambda by Fraction arithmetic on the coefficients.
+
+The Fraction determinant, the Sylvester resultant and the discriminant
+built on it, which the program no longer uses: the Hurwitz data and the
+quartic invariants are taken on cleared integers.
 """
 
 import functools
@@ -25,12 +29,12 @@ import math
 from fractions import Fraction
 
 from esacert import esa
-from esacert.exact import (AlgebraicReal, RationalPolynomial, discriminant,
-                           gcd_and_cauchy_index, isolate_real_roots,
-                           primitive_part, rational_roots, real_root_factors,
-                           simplest_between, value_compare)
+from esacert.exact import (AlgebraicReal, RationalPolynomial, as_fraction,
+                           bareiss_det, gcd_and_cauchy_index,
+                           isolate_real_roots, primitive_part, rational_roots,
+                           real_root_factors, simplest_between, value_compare)
 from esacert.exact.poly import (_chain_variations_at, _chain_variations_at_inf,
-                                sturm_chain)
+                                clear_denominators, sturm_chain)
 from esacert.indicial import IndicialSpec
 from esacert.stability import (QuarticInvariants, QuarticRootClass,
                                critical_line_parts)
@@ -193,3 +197,43 @@ def quartic_invariants(q):
                2: QuarticRootClass.TWO_REAL_TWO_IMAGINARY,
                4: QuarticRootClass.FOUR_REAL}.get(with_mult, QuarticRootClass.OTHER)
     return QuarticInvariants(disc=disc, pi=pi, lam=lam, real_root_class=cls)
+
+
+def det_fractions(rows: list) -> Fraction:
+    """Exact determinant of a square matrix of Fractions."""
+    if not rows:
+        return Fraction(1)
+    rows = [clear_denominators([as_fraction(c) for c in row]) for row in rows]
+    return Fraction(bareiss_det([ints for ints, _ in rows]),
+                    math.prod(den for _, den in rows))
+
+
+def resultant(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:
+    """Resultant via the Sylvester matrix, exactly.
+
+    With p = P / d_p and q = Q / d_q for integer P, Q and the least common
+    denominators d_p, d_q, res(p, q) = res(P, Q) / (d_p^deg q * d_q^deg p),
+    and res(P, Q) is the Bareiss determinant of an integer matrix.
+    """
+    m, n = p.degree, q.degree
+    if m < 0 or n < 0:
+        return Fraction(0)
+    if m == 0:
+        return p.coeffs[0] ** n
+    if n == 0:
+        return q.coeffs[0] ** m
+    size = m + n
+    pd, dp = clear_denominators(p.descending())
+    qd, dq = clear_denominators(q.descending())
+    rows = [[0] * i + pd + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + qd + [0] * (size - n - 1 - i) for i in range(m)]
+    return Fraction(bareiss_det(rows), dp ** n * dq ** m)
+
+
+def discriminant(p: RationalPolynomial) -> Fraction:
+    """disc(p) = (-1)^(d(d-1)/2) * res(p, p') / lc(p)."""
+    d = p.degree
+    if d < 1:
+        raise ValueError("discriminant needs degree >= 1")
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * resultant(p, p.derivative()) / p.leading

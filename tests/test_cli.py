@@ -60,6 +60,12 @@ class TestDecideCommand:
         jsonschema.validate(payload, schemas.ENVELOPE_SCHEMA)
         jsonschema.validate(payload["result"], schemas.VERDICT_RESULT_SCHEMA)
 
+    def test_rational_axis_parameter_prints_as_rational(self, capsys):
+        _, out, _ = invoke(capsys, ["decide", "--m", "2", "--n", "8", "--c", "0",
+                                    "--json"])
+        certificate = json.loads(out)["result"]["certificate"]
+        assert certificate["axis_parameters"] == [{"type": "rational", "value": "0"}]
+
 
 class TestRegionCommand:
     def test_island_rendering(self, capsys):
@@ -355,6 +361,21 @@ def test_console_script_end_to_end():
     payload = json.loads(proc.stdout)
     assert payload["result"]["verdict"] == "ESA"
     assert "elapsed" in proc.stderr
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # the read end closes before the command prints, as in `esacert ... | true`
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    with subprocess.Popen(
+            [sys.executable, "-m", "esacert.cli", "region", "--m", "5", "--n", "20",
+             "--l", "0", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path}) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert "Traceback" not in err
 
 
 def test_figures_import_neither_numpy_nor_scipy(tmp_path):

@@ -118,13 +118,17 @@ class TestRadialRegions:
             assert region.contains(c) == v.is_esa
 
     def test_boundary_candidates_are_determinant_roots(self):
-        region = esa_region_radial(2, 6, 0)
-        det = hurwitz_assemble(2, 6, 0).det_in_c
-        for v in region.boundary_candidates:
-            if isinstance(v, AlgebraicReal):
-                assert v.is_rational and det(v.rational_value) == 0
-            else:
-                assert det(v) == 0
+        irrational = 0
+        for m, n in ((2, 6), (3, 3), (5, 20)):
+            region = esa_region_radial(m, n, 0)
+            det = hurwitz_assemble(m, n, 0).det_in_c
+            for v in region.boundary_candidates:
+                if isinstance(v, AlgebraicReal):
+                    irrational += 1
+                    assert (det % v.defining).is_zero
+                else:
+                    assert det(v) == 0
+        assert irrational > 0
 
 
 class TestCrossingSweep:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from esacert.esa import render_value
 from esacert.exact import (AlgebraicReal, RationalPolynomial, exact_real_roots,
                            sqrt_bounds, value_compare)
 
@@ -31,10 +32,15 @@ def test_refinements_nest():
 
 
 def test_rational_detection_and_comparison():
-    x = AlgebraicReal.from_rational(F(7, 3))
-    assert x.is_rational and x.rational_value == F(7, 3)
-    assert x == F(7, 3)
-    assert x > 2 and x < F(5, 2)
+    # a rational root comes out as a Fraction and compares exactly with an
+    # irrational one
+    roots = exact_real_roots((Z - F(7, 3)) * (Z * Z - 2))
+    q, x = roots[2], roots[1]
+    assert isinstance(q, F) and q == F(7, 3)
+    assert isinstance(x, AlgebraicReal) and not x.is_rational
+    assert x != q and not x.equals(q)
+    assert x < q and value_compare(q, x) > 0
+    assert x > 1 and x < F(3, 2)
 
 
 def test_equality_through_gcd():
@@ -57,19 +63,21 @@ def test_compare_against_nearby_rationals():
 
 def test_quadratic_surd():
     x = AlgebraicReal.from_quadratic_surd(F(3), F(2), F(5))  # 3 + 2 sqrt(5)
-    assert not x.is_rational
+    assert isinstance(x, AlgebraicReal) and not x.is_rational
     lo, hi = x.refine(F(1, 10 ** 8))
     import math
     target = 3 + 2 * math.sqrt(5)
     assert lo <= F(target).limit_denominator(10 ** 9) <= hi or abs(float(x) - target) < 1e-7
-    # perfect-square radicand collapses to a rational
+    # a perfect-square radicand or b = 0 gives a Fraction
     y = AlgebraicReal.from_quadratic_surd(F(1, 2), F(3), F(49))
-    assert y.is_rational and y.rational_value == F(1, 2) + 21
+    assert isinstance(y, F) and y == F(43, 2)
+    z = AlgebraicReal.from_quadratic_surd(F(5), F(0), F(2))
+    assert isinstance(z, F) and z == 5
 
 
 def test_decimal_rendering():
     assert SQRT2().decimal(6) == "1.41421"
-    assert AlgebraicReal.from_rational(F(45)).decimal(5) == "45"
+    assert render_value(F(45), 5) == "45"
 
 
 def test_validation_rejects_bad_intervals():
@@ -80,6 +88,19 @@ def test_validation_rejects_bad_intervals():
         AlgebraicReal(Z * Z - 2, F(3), F(4))  # holds none
     with pytest.raises(ValueError):
         AlgebraicReal(Z * Z - 2, F(1), F(1))  # collapsed but not a root
+
+
+def test_validation_rejects_rational_roots_and_root_ends():
+    cubic = (Z - 1) * (Z * Z - 2)
+    AlgebraicReal(cubic, F(6, 5), F(3, 2))  # isolates sqrt 2: fine
+    with pytest.raises(ValueError):
+        AlgebraicReal(cubic, F(1, 2), F(6, 5))  # isolates the rational root 1
+    with pytest.raises(ValueError):
+        AlgebraicReal(cubic, F(1), F(1))  # collapsed on the rational root
+    with pytest.raises(ValueError):
+        AlgebraicReal(cubic, F(1), F(3, 2))  # root 1 at the left end
+    with pytest.raises(ValueError):
+        AlgebraicReal(cubic, F(0), F(1))  # root 1 at the right end
 
 
 def test_exact_real_roots_mixed():

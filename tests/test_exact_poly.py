@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from esacert.exact import (RationalPolynomial, bareiss_det,
                            cauchy_root_bound, char_poly, count_real_roots,
-                           det_fractions, discriminant,
                            gcd_and_cauchy_index, isolate_real_roots,
                            poly_gcd, rational_roots,
-                           refine_isolating_interval, resultant,
-                           simplest_between, square_free_decomposition,
-                           square_free_part)
+                           refine_isolating_interval, simplest_between,
+                           square_free_decomposition, square_free_part)
 from esacert.exact import poly
 from esacert.exact.poly import real_root_factors, sturm_chain
 from conftest import binomial_shift, rand_fraction, rand_poly
+from earlier_kernel import det_fractions, discriminant, resultant
 
 Z = RationalPolynomial.variable()
 
