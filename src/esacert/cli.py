@@ -94,11 +94,11 @@ def _envelope(args_echo, spec: dict, result: dict, l_max=None,
 # -- decide ----------------------------------------------------------------------
 
 
-def cmd_decide(args, echo) -> int:
+def cmd_decide(args) -> int:
     spec = IndicialSpec(m=args.m, n=args.n, l=args.l, c=args.c)
     verdict = esa_decide_radial(spec)
     if args.json:
-        print(_dump_json(_envelope(echo, spec.to_json(), verdict.to_json())))
+        print(_dump_json(_envelope(args.argv, spec.to_json(), verdict.to_json())))
     else:
         print(f"operator (m={spec.m}, n={spec.n}, l={spec.l}) at c = {spec.c}: "
               f"{verdict.verdict.value}")
@@ -118,7 +118,7 @@ def cmd_decide(args, echo) -> int:
 # -- region ----------------------------------------------------------------------
 
 
-def cmd_region(args, echo) -> int:
+def cmd_region(args) -> int:
     if args.all_l:
         with _task_map(args.jobs) as task_map:
             region = esa_region_full(args.m, args.n, args.lmax, map=task_map)
@@ -133,7 +133,7 @@ def cmd_region(args, echo) -> int:
     if args.json:
         result = region.to_json()
         result["rendered"] = rendered
-        print(_dump_json(_envelope(echo, spec, result,
+        print(_dump_json(_envelope(args.argv, spec, result,
                                    l_max=region.certified_up_to_l,
                                    oracle=region.oracle_checked)))
     else:
@@ -146,7 +146,7 @@ def cmd_region(args, echo) -> int:
 # -- table -----------------------------------------------------------------------
 
 
-def cmd_table(args, echo) -> int:
+def cmd_table(args) -> int:
     mismatches = []
     rows = []
     if args.which == "gamma2":
@@ -204,7 +204,7 @@ def _grid(lo: Fraction, hi: Fraction, steps: int) -> list:
     return [lo + step * i for i in range(steps)]
 
 
-def cmd_figure(args, echo) -> int:
+def cmd_figure(args) -> int:
     if args.which == "fig1":
         if args.c1 is None:
             print("figure fig1 requires --c1", file=sys.stderr)
@@ -263,13 +263,13 @@ def cmd_figure(args, echo) -> int:
 # -- basis -----------------------------------------------------------------------
 
 
-def cmd_basis(args, echo) -> int:
+def cmd_basis(args) -> int:
     from .frobenius import select_fundamental_system
     lam = args.lam if args.lam is not None else Fraction(1)
     sel = select_fundamental_system(args.c1, args.c2)
     if args.json:
         spec = {"c1": str(args.c1), "c2": str(args.c2), "lambda": str(lam)}
-        print(_dump_json(_envelope(echo, spec, sel.to_json())))
+        print(_dump_json(_envelope(args.argv, spec, sel.to_json())))
     else:
         cls = sel.classification
         print(f"(c1, c2) = ({args.c1}, {args.c2})")
@@ -292,7 +292,7 @@ def cmd_basis(args, echo) -> int:
 # -- conjecture ---------------------------------------------------------------------
 
 
-def cmd_conjecture(args, echo) -> int:
+def cmd_conjecture(args) -> int:
     rows = conjecture_explore(args.mmax)
     if args.json:
         result = {"rows": [{
@@ -301,7 +301,7 @@ def cmd_conjecture(args, echo) -> int:
             "comparison": repr(r["comparison"]),
             "log_ratio": None if r["log_ratio"] is None else repr(r["log_ratio"]),
         } for r in rows]}
-        print(_dump_json(_envelope(echo, {"m_max": args.mmax}, result)))
+        print(_dump_json(_envelope(args.argv, {"m_max": args.mmax}, result)))
     else:
         print(f"{'m':>3} {'threshold':>24} {'(2m^2/pi)^2m':>16} {'log-ratio':>10}")
         print("exploratory table; nothing is asserted beyond the values shown")
@@ -396,9 +396,10 @@ _HANDLERS = {
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _shared_parser().parse_args(argv)
+    args.argv = argv   # echoed by the handlers that print a JSON envelope
     started = time.perf_counter()
     try:
-        code = _HANDLERS[args.command](args, argv)
+        code = _HANDLERS[args.command](args)
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

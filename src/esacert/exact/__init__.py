@@ -7,7 +7,6 @@ from .poly import (
     as_fraction,
     bareiss_det,
     cauchy_root_bound,
-    char_poly,
     char_poly_coeffs,
     count_real_roots,
     gcd_and_cauchy_index,
@@ -31,7 +30,6 @@ __all__ = [
     "as_fraction",
     "bareiss_det",
     "cauchy_root_bound",
-    "char_poly",
     "char_poly_coeffs",
     "count_real_roots",
     "exact_real_roots",

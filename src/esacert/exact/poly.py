@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -601,26 +602,25 @@ def char_poly_coeffs(rows: list) -> list:
     """Ascending coefficients of det(x I - A), by Berkowitz's division-free
     algorithm (exact, O(n^4) ring operations).  The entries may be ints or
     Fractions: only ring operations are used, so an integer matrix gives
-    ints throughout."""
+    ints throughout.  Each step slices its leading block once, and its
+    Toeplitz product is a convolution that skips zero coefficients."""
     desc = [1]  # descending coefficients for the empty leading block
     for r in range(len(rows)):
         # with A_r the leading r x r block, R = A[r][:r] and S = A[:r][r], the
         # Toeplitz column is 1, -a_rr, -R S, -R A_r S, ..., -R A_r^(r-1) S
+        block = [row[:r] for row in rows[:r]]
         head = rows[r][:r]
         col = [1, -rows[r][r]]
-        x = [rows[i][r] for i in range(r)]
+        x = [row[r] for row in rows[:r]]
         for _ in range(r):
-            col.append(-sum(a * b for a, b in zip(head, x)))
-            x = [sum(a * b for a, b in zip(rows[i][:r], x)) for i in range(r)]
-        desc = [sum(col[i - j] * desc[j] for j in range(min(i, r) + 1))
-                for i in range(r + 2)]
+            col.append(-sum(map(mul, head, x)))
+            x = [sum(map(mul, row, x)) for row in block]
+        new = col[:]   # the j = 0 term, as desc[0] = 1
+        for j, d in enumerate(desc[1:], 1):
+            if d:
+                new[j:] = [y + c * d for y, c in zip(new[j:], col)]
+        desc = new
     return desc[::-1]
-
-
-def char_poly(rows: list) -> RationalPolynomial:
-    """det(x I - A) of a square matrix of ints or Fractions
-    (char_poly_coeffs)."""
-    return RationalPolynomial(char_poly_coeffs(rows))
 
 
 # -- continued-fraction utilities -------------------------------------------------

@@ -93,18 +93,21 @@ def indicial_product(m: int, nu: int, shift=0) -> list:
     """Ascending integer coefficients of prod_k (2w + 2 shift - k), taken
     over the 2m half-integer roots k/2 of indicial_base (same arguments).
 
-    The leading coefficient is 4^m.
+    Step j multiplies by (2w + a)(2w + b) = 4w^2 + 2(a + b)w + ab, the pair
+    a = 2 shift - (nu + 4j - 5), b = 2 shift + nu - 4j + 1.  The leading
+    coefficient is 4^m.
     """
     twice = 2 * as_fraction(shift)
     if twice.denominator != 1:
         raise ValueError("shift must be a half-integer")
+    t = twice.numerator
     coeffs = [1]
     for j in range(1, m + 1):
-        for k in (nu + 4 * j - 5, -(nu - 4 * j + 1)):
-            c0 = twice.numerator - k   # multiply by 2w + c0
-            coeffs = ([c0 * coeffs[0]]
-                      + [c0 * hi + 2 * lo for lo, hi in zip(coeffs, coeffs[1:])]
-                      + [2 * coeffs[-1]])
+        a, b = t - (nu + 4 * j - 5), t + nu - 4 * j + 1
+        ab, mid = a * b, 2 * (a + b)
+        pad = [0, 0] + coeffs + [0, 0]
+        coeffs = [ab * x + mid * y + 4 * z
+                  for x, y, z in zip(pad[2:], pad[1:], pad)]
     return coeffs
 
 

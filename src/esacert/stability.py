@@ -33,18 +33,19 @@ polynomial A, the substitution u = v/a (a the leading coefficient of A's
 odd part) makes that odd part monic, and the cofactor is the integer
 Berkowitz characteristic polynomial of a multiplication matrix over Z.
 Its coefficients are kept as integer numerators over one common
-denominator, the determinant in c is their product with the integer
-numerators of c - r, and each coefficient becomes one Fraction at the end.
+denominator; HurwitzData holds them, A and the numerator of r, and builds
+its Fraction polynomials only when a caller reads them.
 The 2m x 2m matrix is only evaluated once, at one rational c, as a check:
 its determinant, the last leading minor of the fraction-free Routh scheme
 (hurwitz_minors, O(m^2) ring operations; integer Bareiss only when a Routh
 divisor vanishes), is compared, in integers, with an integer Horner value
-of the cofactor.  The quartic invariants (quartic_classify)
-and disc_q3 are likewise taken on cleared integer coefficients.
+of the cofactor.  quartic_classify takes its invariants on cleared integer
+coefficients, and disc_q3 on the cofactor's numerators.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -52,7 +53,7 @@ from .exact import (RationalPolynomial, bareiss_det, char_poly_coeffs,
                     count_real_roots, exact_real_roots, gcd_and_cauchy_index,
                     poly_gcd, real_root_factors, square_free_decomposition)
 from .exact.poly import clear_denominators
-from .indicial import euler_quartic, indicial_product
+from .indicial import euler_quartic, indicial_product, indicial_scale
 
 CRITICAL_RE = Fraction(-1, 2)
 
@@ -113,15 +114,40 @@ def euler_hurwitz_matrix(c1, c2) -> list:
 class HurwitzData:
     """Hurwitz data of one radial operator with the coupling left symbolic.
 
-    The data depend on (m, n, l) only through nu = n + 2l.
+    The data depend on (m, n, l) only through nu = n + 2l.  They are held in
+    integers, ascending: the centered polynomial is (-1)^m 4^-m big_a, the
+    cofactor is q_nums over den, and r = r_num / 4^m.  The Fraction views
+    below are built on first use and then kept.
     """
 
     m: int
     nu: int
-    shifted_base: RationalPolynomial      # coupling-free centered polynomial
-    det_in_c: RationalPolynomial
-    linear_root: Fraction                 # the rational root of det_in_c
-    q_factor: RationalPolynomial          # degree m-1 cofactor
+    big_a: tuple
+    q_nums: tuple
+    den: int
+    r_num: int
+
+    @functools.cached_property
+    def shifted_base(self) -> RationalPolynomial:   # coupling-free, centered
+        scale = indicial_scale(self.m)
+        return RationalPolynomial(scale * c for c in self.big_a)
+
+    @functools.cached_property
+    def q_factor(self) -> RationalPolynomial:       # degree m-1 cofactor
+        return RationalPolynomial(Fraction(x, self.den) for x in self.q_nums)
+
+    @functools.cached_property
+    def linear_root(self) -> Fraction:              # the rational root r
+        return Fraction(self.r_num, 4 ** self.m)
+
+    @functools.cached_property
+    def det_in_c(self) -> RationalPolynomial:
+        """(c - r) q_factor, the product (4^m c - r_num) q_nums over 4^m den."""
+        four_m = 4 ** self.m
+        nums = [0] + [four_m * x for x in self.q_nums]
+        for k, x in enumerate(self.q_nums):
+            nums[k] -= self.r_num * x
+        return RationalPolynomial(Fraction(x, four_m * self.den) for x in nums)
 
 
 def _orlando_sign(m: int) -> int:
@@ -168,20 +194,19 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
     Its coefficient k, (-1)^(m(m-1)/2) s^(2m-1-k) a^(m(k-m+2)) chi_k, is
     kept as an integer numerator over the one denominator
     D = 4^(m(2m-1)) |a|^e, e = max(0, m(m-2)) (for m = 1 the power of a is
-    positive), and det_in_c = (c - r) q_factor is the product of two
-    integer lists over 4^m D.  Each coefficient becomes one Fraction at
-    the end.  One probe compares q_factor(r + 1) = det_in_c(r + 1), as an
-    integer Horner value cross-multiplied with its denominator, with the
-    determinant of the 2m x 2m Hurwitz matrix of (-1)^m (A - A(0)) + 4^m,
-    which is 4^(2m^2) times the numeric determinant there; a mismatch is a
-    construction bug and raises AssertionError.  That determinant is the
+    positive), and r = r_num / 4^m.  No Fraction is built here: HurwitzData
+    holds A, these numerators, D and r_num.  One probe compares
+    q_factor(r + 1) = det_in_c(r + 1), as an integer Horner value
+    cross-multiplied with its denominator, with the determinant of the
+    2m x 2m Hurwitz matrix of (-1)^m (A - A(0)) + 4^m, which is 4^(2m^2)
+    times the numeric determinant there; a mismatch is a construction bug
+    and raises AssertionError.  That determinant is the
     last minor Delta_2m of hurwitz_minors, or the integer Bareiss
     determinant of the matrix when a Routh divisor vanishes.
     """
     nu = n + 2 * l
     big_a = indicial_product(m, nu, CRITICAL_RE)
     sign, four_m = (-1) ** m, 4 ** m
-    shifted = RationalPolynomial(Fraction(sign * c, four_m) for c in big_a)
     a_even, a_odd = big_a[0::2], big_a[1::2]
     a = a_odd[-1]
     # Ao~, and -Ae~ mod Ao~: the coefficient of v^k of Ao (of Ae) times
@@ -203,15 +228,7 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
     for x in chi:
         q_nums.append(factor * x)
         factor *= step
-    q_factor = RationalPolynomial(Fraction(x, den) for x in q_nums)
-    # r = -s A(0) = r_num / 4^m, and (c - r) q_factor = (4^m c - r_num) q / 4^m
-    r_num = -sign * big_a[0]
-    linear_root = Fraction(r_num, four_m)
-    det_nums = [0] + [four_m * x for x in q_nums]
-    for k, x in enumerate(q_nums):
-        det_nums[k] -= r_num * x
-    det_den = four_m * den
-    det = RationalPolynomial(Fraction(x, det_den) for x in det_nums)
+    r_num = -sign * big_a[0]            # r = -s A(0) = r_num / 4^m
     # q_factor(t / 4^m) 4^(m(m-1)) D at t = r_num + 4^m, by homogeneous Horner
     t, value, power = r_num + four_m, 0, 1
     for x in reversed(q_nums):
@@ -223,8 +240,8 @@ def hurwitz_assemble(m: int, n: int, l: int) -> HurwitzData:
     if 4 ** (2 * m * m) * value != full * den * four_m ** (m - 1):
         raise AssertionError("Hurwitz cofactor failed the validation probe "
                              "against the 2m x 2m determinant")
-    return HurwitzData(m=m, nu=nu, shifted_base=shifted, det_in_c=det,
-                       linear_root=linear_root, q_factor=q_factor)
+    return HurwitzData(m=m, nu=nu, big_a=tuple(big_a), q_nums=tuple(q_nums),
+                       den=den, r_num=r_num)
 
 
 # -- exact axis-root detection ---------------------------------------------------
@@ -378,9 +395,9 @@ def quartic_classify(q: RationalPolynomial) -> QuarticInvariants:
 
 def disc_q3(n: int, l: int) -> Fraction:
     """Discriminant of the quadratic Hurwitz cofactor of the sixth-order
-    family, a1^2 - 4 a2 a0 taken on the cleared integer coefficients."""
-    q = hurwitz_assemble(3, n, l).q_factor
-    if q.degree != 2:
+    family, a1^2 - 4 a2 a0 taken on its integer numerators over den^2."""
+    hd = hurwitz_assemble(3, n, l)
+    if len(hd.q_nums) != 3 or not hd.q_nums[2]:
         raise AssertionError("cofactor of the m=3 family must be quadratic")
-    (a2, a1, a0), den = clear_denominators(q.descending())
-    return Fraction(a1 * a1 - 4 * a2 * a0, den * den)
+    a0, a1, a2 = hd.q_nums
+    return Fraction(a1 * a1 - 4 * a2 * a0, hd.den * hd.den)

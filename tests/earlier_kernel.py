@@ -22,6 +22,13 @@ resultant) and Pi and Lambda by Fraction arithmetic on the coefficients.
 The Fraction determinant, the Sylvester resultant and the discriminant
 built on it, which the program no longer uses: the Hurwitz data and the
 quartic invariants are taken on cleared integers.
+
+`char_poly`, the RationalPolynomial wrapper of the kernel's
+`char_poly_coeffs`, which no caller in the program uses.  The kernels as
+they were before the Hurwitz data stayed in integers: Berkowitz with
+generator sums and a full Toeplitz product, the indicial product as a loop
+over 2m linear factors, and `disc_q3` on the cleared coefficients of the
+cofactor polynomial.
 """
 
 import functools
@@ -30,14 +37,14 @@ from fractions import Fraction
 
 from esacert import esa
 from esacert.exact import (AlgebraicReal, RationalPolynomial, as_fraction,
-                           bareiss_det, gcd_and_cauchy_index,
+                           bareiss_det, char_poly_coeffs, gcd_and_cauchy_index,
                            isolate_real_roots, primitive_part, rational_roots,
                            real_root_factors, simplest_between, value_compare)
 from esacert.exact.poly import (_chain_variations_at, _chain_variations_at_inf,
                                 clear_denominators, sturm_chain)
 from esacert.indicial import IndicialSpec
 from esacert.stability import (QuarticInvariants, QuarticRootClass,
-                               critical_line_parts)
+                               critical_line_parts, hurwitz_assemble)
 
 
 def poly_gcd(a, b):
@@ -237,3 +244,49 @@ def discriminant(p: RationalPolynomial) -> Fraction:
         raise ValueError("discriminant needs degree >= 1")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * resultant(p, p.derivative()) / p.leading
+
+
+def char_poly(rows: list) -> RationalPolynomial:
+    """det(x I - A) of a square matrix of ints or Fractions
+    (char_poly_coeffs)."""
+    return RationalPolynomial(char_poly_coeffs(rows))
+
+
+def berkowitz_coeffs(rows: list) -> list:
+    """Ascending coefficients of det(x I - A), by Berkowitz's algorithm."""
+    desc = [1]  # descending coefficients for the empty leading block
+    for r in range(len(rows)):
+        head = rows[r][:r]
+        col = [1, -rows[r][r]]
+        x = [rows[i][r] for i in range(r)]
+        for _ in range(r):
+            col.append(-sum(a * b for a, b in zip(head, x)))
+            x = [sum(a * b for a, b in zip(rows[i][:r], x)) for i in range(r)]
+        desc = [sum(col[i - j] * desc[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    return desc[::-1]
+
+
+def indicial_product(m: int, nu: int, shift=0) -> list:
+    """Ascending integer coefficients of prod_k (2w + 2 shift - k), one
+    linear factor at a time."""
+    twice = 2 * as_fraction(shift)
+    if twice.denominator != 1:
+        raise ValueError("shift must be a half-integer")
+    coeffs = [1]
+    for j in range(1, m + 1):
+        for k in (nu + 4 * j - 5, -(nu - 4 * j + 1)):
+            c0 = twice.numerator - k   # multiply by 2w + c0
+            coeffs = ([c0 * coeffs[0]]
+                      + [c0 * hi + 2 * lo for lo, hi in zip(coeffs, coeffs[1:])]
+                      + [2 * coeffs[-1]])
+    return coeffs
+
+
+def disc_q3(n: int, l: int) -> Fraction:
+    """a1^2 - 4 a2 a0 on the cleared coefficients of the m = 3 cofactor."""
+    q = hurwitz_assemble(3, n, l).q_factor
+    if q.degree != 2:
+        raise AssertionError("cofactor of the m=3 family must be quadratic")
+    (a2, a1, a0), den = clear_denominators(q.descending())
+    return Fraction(a1 * a1 - 4 * a2 * a0, den * den)

@@ -149,10 +149,10 @@ class TestCrossingSweep:
     def test_zero_slope_at_the_origin_raises(self, monkeypatch):
         # O(v) = v: the root at w = 0 is double at c = r
         even, odd = RationalPolynomial([1, 0, 1]), RationalPolynomial([0, 1])
-        hd = HurwitzData(m=2, nu=0,
-                         shifted_base=RationalPolynomial([1, 0, 0, 1, 1]),
-                         det_in_c=RationalPolynomial([1, 2, 1]),
-                         linear_root=F(-1), q_factor=RationalPolynomial([1, 1]))
+        hd = HurwitzData(m=2, nu=0, big_a=tuple(16 * c for c in (1, 0, 0, 1, 1)),
+                         q_nums=(1, 1), den=1, r_num=-16)
+        assert hd.det_in_c == RationalPolynomial([1, 2, 1])
+        assert (hd.linear_root, hd.q_factor) == (-1, RationalPolynomial([1, 1]))
         assert hd.shifted_base.even_odd_split() == (even, odd)
         monkeypatch.setattr(esa, "_hurwitz_cached", lambda *args: hd)
         with pytest.raises(TangentialCrossingError):
@@ -162,9 +162,10 @@ class TestCrossingSweep:
         # O(v) = (v + 1)^2: the pair w = +-i touches the line at c = 1
         even, odd = RationalPolynomial([0, 0, 0, 1]), RationalPolynomial([1, 2, 1])
         hd = HurwitzData(m=3, nu=0,
-                         shifted_base=RationalPolynomial([0, 1, 0, 2, 0, 1, 1]),
-                         det_in_c=RationalPolynomial([0, 1, -2, 1]),
-                         linear_root=F(0), q_factor=RationalPolynomial([1, -2, 1]))
+                         big_a=tuple(-64 * c for c in (0, 1, 0, 2, 0, 1, 1)),
+                         q_nums=(1, -2, 1), den=1, r_num=0)
+        assert hd.det_in_c == RationalPolynomial([0, 1, -2, 1])
+        assert (hd.linear_root, hd.q_factor) == (0, RationalPolynomial([1, -2, 1]))
         assert hd.shifted_base.even_odd_split() == (even, odd)
         monkeypatch.setattr(esa, "_hurwitz_cached", lambda *args: hd)
         with pytest.raises(TangentialCrossingError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esacert.exact import (RationalPolynomial, bareiss_det,
-                           cauchy_root_bound, char_poly, count_real_roots,
+                           cauchy_root_bound, char_poly_coeffs, count_real_roots,
                            gcd_and_cauchy_index, isolate_real_roots,
                            poly_gcd, rational_roots,
                            refine_isolating_interval, simplest_between,
@@ -15,7 +15,8 @@ from esacert.exact import (RationalPolynomial, bareiss_det,
 from esacert.exact import poly
 from esacert.exact.poly import real_root_factors, sturm_chain
 from conftest import binomial_shift, rand_fraction, rand_poly
-from earlier_kernel import det_fractions, discriminant, resultant
+from earlier_kernel import (berkowitz_coeffs, char_poly, det_fractions,
+                            discriminant, resultant)
 
 Z = RationalPolynomial.variable()
 
@@ -343,6 +344,43 @@ class TestCharPoly:
             for i in range(degree):
                 companion[i][degree - 1] = -p.coeffs[i]
             assert char_poly(companion) == p
+
+    @staticmethod
+    def _sparse_matrix(rng, n, entry):
+        # about half the entries zero, and now and then a zero row
+        a = [[entry() if rng.random() < 0.5 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n and rng.random() < 0.3:
+            a[rng.randrange(n)] = [0] * n
+        return a
+
+    def test_matches_earlier_berkowitz(self, rng):
+        for n in range(9):
+            for _ in range(12):
+                ints = self._sparse_matrix(rng, n, lambda: rng.randint(-9, 9))
+                got = char_poly_coeffs(ints)
+                assert got == berkowitz_coeffs(ints)
+                assert all(type(c) is int for c in got)
+                fracs = self._sparse_matrix(rng, n, lambda: rand_fraction(rng, -6, 6, 5))
+                assert (RationalPolynomial(char_poly_coeffs(fracs))
+                        == RationalPolynomial(berkowitz_coeffs(fracs)))
+
+    def test_matches_determinants_of_x_minus_a(self, rng):
+        # degree n, so agreement at n + 1 integer points is identity
+        for n in range(9):
+            for entry in (lambda: rng.randint(-9, 9),
+                          lambda: rand_fraction(rng, -6, 6, 5)):
+                a = self._sparse_matrix(rng, n, entry)
+                chi = RationalPolynomial(char_poly_coeffs(a))
+                assert chi.degree == n and chi.leading == 1
+                for x in range(-n // 2, n + 1 - n // 2):
+                    shifted = [[(x if i == j else 0) - e for j, e in enumerate(row)]
+                               for i, row in enumerate(a)]
+                    if any(isinstance(e, F) for row in a for e in row):
+                        want = det_fractions(shifted)
+                    else:
+                        want = bareiss_det(shifted) if n else 1
+                    assert chi(F(x)) == want
 
 
 class TestRationalRecognition:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from esacert.exact import RationalPolynomial
 from esacert.indicial import (EulerParams, IndicialSpec, build_indicial,
                               euler_params, euler_quartic, indicial_base,
-                              quartic_roots_closed_form)
+                              indicial_product, quartic_roots_closed_form)
 from esacert.roots import certified_roots
+import earlier_kernel
 from conftest import rand_fraction
 
 
@@ -85,6 +86,15 @@ class TestBuildIndicial:
     def test_shift_must_be_half_integer(self):
         with pytest.raises(ValueError, match="half-integer"):
             indicial_base(2, 5, F(1, 3))
+        with pytest.raises(ValueError, match="half-integer"):
+            indicial_product(2, 5, F(1, 3))
+
+    def test_quadratic_steps_match_linear_factors(self):
+        for m in range(1, 9):
+            for nu in range(2, 81):
+                for shift in (0, F(-1, 2), F(3, 2), F(-7, 2)):
+                    assert (indicial_product(m, nu, shift)
+                            == earlier_kernel.indicial_product(m, nu, shift))
 
     def test_validation(self):
         with pytest.raises(ValueError):

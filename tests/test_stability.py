@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from esacert import golden, stability
 from esacert.esa import _hurwitz_cached
-from esacert.exact import (RationalPolynomial, bareiss_det, char_poly,
-                           count_real_roots, poly_gcd, primitive_part,
-                           real_root_factors)
+from esacert.exact import (RationalPolynomial, bareiss_det, count_real_roots,
+                           poly_gcd, primitive_part, real_root_factors)
 from esacert.exact.poly import clear_denominators
 from esacert.indicial import (IndicialSpec, build_indicial, euler_quartic,
                               indicial_base)
@@ -22,7 +21,7 @@ from esacert.stability import (CRITICAL_RE, HalfPlaneCount, HurwitzData,
                                hurwitz_assemble, hurwitz_matrix,
                                hurwitz_minors, quartic_classify)
 import earlier_kernel
-from earlier_kernel import det_fractions
+from earlier_kernel import char_poly, det_fractions
 from conftest import binomial_shift, rand_fraction, rand_poly, real_root_count
 
 Z = RationalPolynomial.variable()
@@ -146,6 +145,14 @@ class TestHurwitzAssemble:
                     assert hd.q_factor.degree == m - 1
                     assert hd.det_in_c(hd.linear_root) == 0
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(2, 80), st.integers(0, 30))
+    def test_views_match_indicial_base_and_split(self, m, n, l):
+        hd = hurwitz_assemble(m, n, l)
+        assert hd.shifted_base == indicial_base(m, n + 2 * l, CRITICAL_RE)
+        assert RationalPolynomial((-hd.linear_root, 1)) * hd.q_factor == hd.det_in_c
+        assert hd.q_factor is hd.q_factor   # built once, then kept
+
     def test_dimension_three_determinant_roots(self):
         hd = hurwitz_assemble(2, 3, 0)
         vals = []
@@ -220,18 +227,21 @@ def _multiplication_matrix(a: RationalPolynomial, mod: RationalPolynomial) -> li
     return [[col[i] for col in cols] for i in range(d)]
 
 
-def _fraction_orlando(m: int, nu: int) -> HurwitzData:
-    """Hurwitz data by Orlando's formula taken over Q: the cofactor is
-    (-1)^(m(m-1)/2) lc(O)^m det(c I - M), M the multiplication by -E0 on
-    Q[u]/(O), with shifted(w) = E0(w^2) + w O(w^2)."""
+def _fraction_orlando(m: int, nu: int) -> tuple:
+    """(m, nu, shifted, det, r, q) by Orlando's formula taken over Q: the
+    cofactor q is (-1)^(m(m-1)/2) lc(O)^m det(c I - M), M the
+    multiplication by -E0 on Q[u]/(O), with shifted(w) = E0(w^2) + w O(w^2)."""
     shifted = indicial_base(m, nu, CRITICAL_RE)
     even, odd = shifted.even_odd_split()
     sign = (-1) ** (m * (m - 1) // 2)
     q = char_poly(_multiplication_matrix(-even, odd)) * (sign * odd.leading ** m)
     r = -shifted(F(0))
-    return HurwitzData(m=m, nu=nu, shifted_base=shifted,
-                       det_in_c=RationalPolynomial((-r, 1)) * q,
-                       linear_root=r, q_factor=q)
+    return m, nu, shifted, RationalPolynomial((-r, 1)) * q, r, q
+
+
+def _views(hd: HurwitzData) -> tuple:
+    """The tuple of _fraction_orlando, read off the views of hd."""
+    return hd.m, hd.nu, hd.shifted_base, hd.det_in_c, hd.linear_root, hd.q_factor
 
 
 class TestIntegerOrlando:
@@ -240,16 +250,17 @@ class TestIntegerOrlando:
 
     def test_sixth_order_family(self):
         for nu in range(2, 150):
-            assert hurwitz_assemble(3, nu, 0) == _fraction_orlando(3, nu)
+            assert _views(hurwitz_assemble(3, nu, 0)) == _fraction_orlando(3, nu)
 
     def test_island_family(self):
         for l in range(101):
-            assert hurwitz_assemble(5, 20, l) == _fraction_orlando(5, 20 + 2 * l)
+            assert (_views(hurwitz_assemble(5, 20, l))
+                    == _fraction_orlando(5, 20 + 2 * l))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(1, 8), st.integers(2, 60), st.integers(0, 30))
     def test_random_sectors(self, m, n, l):
-        assert hurwitz_assemble(m, n, l) == _fraction_orlando(m, n + 2 * l)
+        assert _views(hurwitz_assemble(m, n, l)) == _fraction_orlando(m, n + 2 * l)
 
     def test_probe_runs_on_every_call(self, monkeypatch):
         degrees = []
@@ -269,7 +280,7 @@ class TestIntegerOrlando:
         monkeypatch.setattr(stability, "hurwitz_minors", lambda desc: None)
         keys = ((1, 4, 0), (3, 7, 1), (5, 20, 0))
         for m, n, l in keys:
-            assert hurwitz_assemble(m, n, l) == _fraction_orlando(m, n + 2 * l)
+            assert _views(hurwitz_assemble(m, n, l)) == _fraction_orlando(m, n + 2 * l)
         flipped = stability._orlando_sign
         monkeypatch.setattr(stability, "_orlando_sign", lambda m: -flipped(m))
         for m, n, l in keys:
@@ -598,6 +609,11 @@ class TestDiscQ3:
 
     def test_depends_only_on_nu(self):
         assert disc_q3(11, 3) == disc_q3(17, 0) == disc_q3(13, 2)
+
+    def test_matches_cleared_cofactor_formula(self, rng):
+        for nu in range(2, 150):
+            l = rng.randint(0, (nu - 2) // 2)
+            assert disc_q3(nu - 2 * l, l) == earlier_kernel.disc_q3(nu - 2 * l, l)
 
     def test_negative_for_all_relevant_sectors(self):
         for nu in range(11, 62):
