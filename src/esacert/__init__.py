@@ -10,8 +10,9 @@ Layers:
 * ``esacert.roots``     certified complex root disks (Aberth iteration with
                         exact a-posteriori certification) for numeric
                         output and as a test oracle;
-* ``esacert.indicial``  indicial polynomials of the radial operators and
-                        the closed-form quartic exponents;
+* ``esacert.indicial``  indicial polynomials of the radial operators,
+                        their root trajectories and the closed-form
+                        quartic exponents;
 * ``esacert.stability`` Hurwitz determinants in the coupling by
                         Orlando's formula, exact axis-root detection,
                         exact half-plane counting by Cauchy index,
@@ -23,11 +24,12 @@ Layers:
 * ``esacert.cli``       the command-line front end.
 """
 
-from .exact import AlgebraicReal, Rational, RationalPolynomial
+from .exact import AlgebraicReal, RationalPolynomial
 from .indicial import (EulerParams, IndicialSpec, build_indicial,
-                       euler_params, euler_quartic, quartic_roots_closed_form)
+                       euler_params, euler_quartic, quartic_roots_closed_form,
+                       root_trajectories)
 from .roots import (CertifiedRoot, OrderedRootSet, PrecisionExceededError,
-                    certified_roots, real_part_position, root_trajectories)
+                    certified_roots, real_part_position)
 from .stability import (HalfPlaneCount, HurwitzData, axis_roots_exact,
                         disc_q3, halfplane_count, hurwitz_assemble,
                         quartic_classify)
@@ -57,7 +59,7 @@ def __getattr__(name):
 __all__ = [
     "AlgebraicReal", "BasisSelection", "CertifiedRoot", "EsaRegion",
     "EsaVerdict", "EulerParams", "HalfPlaneCount", "HurwitzData",
-    "IndicialSpec", "OrderedRootSet", "PrecisionExceededError", "Rational",
+    "IndicialSpec", "OrderedRootSet", "PrecisionExceededError",
     "RationalPolynomial", "ResonanceClassification", "Verdict",
     "axis_roots_exact", "build_indicial", "certified_roots",
     "classify_resonance", "conjecture_explore", "disc_q3",

@@ -24,14 +24,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import golden
-from .esa import (CONJECTURE_M_CAP, L_MAX, conjecture_explore,
+from .esa import (CONJECTURE_M_CAP, L_MAX, _hurwitz_cached, conjecture_explore,
                   esa_decide_radial, esa_region_full, esa_region_radial,
-                  gamma_threshold, render_value, value_to_json)
-from .indicial import IndicialSpec, euler_quartic
-from .roots import (START_BITS, root_trajectories, trajectory_csv_rows,
-                    trajectory_table)
+                  euler_esa_closed_form, gamma_threshold, render_value,
+                  value_to_json)
+from .indicial import IndicialSpec, euler_quartic, root_trajectories
+from .roots import START_BITS, trajectory_csv_rows, trajectory_table
 from .stability import quartic_classify
-from .esa import _hurwitz_cached
 
 EXIT_OK = 0
 EXIT_NOT_ESA = 10
@@ -244,7 +243,6 @@ def cmd_figure(args) -> int:
                    + [[kind, k, str(c1), str(c2), int(flag)]
                       for kind, k, c1, c2, flag in rows])
         written.append(path)
-        from .esa import euler_esa_closed_form
         shade = [["c1", "c2", "esa_flag"]]
         for c1 in _grid(Fraction(-30), Fraction(5), 71):
             for c2 in _grid(Fraction(-40), Fraction(60), 51):

@@ -17,7 +17,8 @@ that is a boundary candidate.  With left(c) the roots strictly left of the
 line and inc / dec those crossing leftward / rightward at a candidate c*,
 c* is in the region iff left(c*+) + dec = m, and the cell below has
 left(c*+) - inc + dec; the sweep runs down from one exact count above the
-candidates and is checked by one exact count below them.
+candidates, emits the region's pieces as it walks, and is checked by one
+exact count below them.
 
 Closed-form oracles cover m <= 3 and the tenth-order operator in dimension
 20; the engine cross-checks against them wherever they apply.
@@ -295,38 +296,27 @@ def esa_region_radial(m: int, n: int, l: int) -> EsaRegion:
     left = left_at(math.ceil(bounds[-1][1]) + 1)
     if left != m:
         raise AssertionError("non-ESA reported in the c -> +infinity cell")
-    cell_esa, member = [True], []
-    for inc, dec in reversed(moves):
+    pieces, hi = [], POS_INF   # hi: top of the ESA run the walk is in, or None
+    for c, (inc, dec) in zip(reversed(candidates), reversed(moves)):
         if left + dec > m:
             raise AssertionError("more than m roots weakly left of the line; "
                                  "pairing symmetry violated")
-        member.append(left + dec == m)
+        member = left + dec == m
         left += dec - inc
-        cell_esa.append(left == m)
+        if left == m:            # the cell below c is ESA
+            if hi is None:
+                hi = c
+        elif hi is not None:
+            pieces.append(RegionPiece(lo=c, hi=hi))
+            hi = None
+        elif member:             # no ESA cell on either side
+            pieces.append(RegionPiece(lo=c, hi=c))
     if left != left_at(math.floor(bounds[0][0]) - 1):
         raise AssertionError("crossing sweep disagrees with the count below "
                              "the boundary candidates")
     if left == m:
         raise AssertionError("ESA reported in the c -> -infinity cell")
-    cell_esa.reverse()
-    member.reverse()
-    k = len(candidates)
-
-    pieces = []
-    i = 0
-    while i <= k:
-        if not cell_esa[i]:
-            # isolated boundary point: member without an adjacent ESA cell
-            if i < k and member[i] and not cell_esa[i + 1]:
-                pieces.append(RegionPiece(lo=candidates[i], hi=candidates[i]))
-            i += 1
-            continue
-        run_start = i
-        while i <= k and cell_esa[i]:
-            i += 1
-        lo = candidates[run_start - 1]  # run_start >= 1 since cell 0 is non-ESA
-        hi = POS_INF if i == k + 1 else candidates[i - 1]
-        pieces.append(RegionPiece(lo=lo, hi=hi))
+    pieces.reverse()
     return EsaRegion(m=m, n=n, l=l, pieces=pieces,
                      boundary_candidates=candidates)
 
@@ -460,29 +450,21 @@ def conjecture_explore(m_max: int = CONJECTURE_M_CAP) -> list:
     """Numeric exploration of the dimension-3 threshold growth.
 
     For each m: the engine threshold gamma(m), the comparison value
-    (2 m^2 / pi)^(2m), and the ratio log(gamma) / log((2 m^2 / pi)^(2m)).
-    Exploratory output only; nothing is asserted beyond the table itself.
+    (2 m^2 / pi)^(2m), and the ratio log(gamma) / log((2 m^2 / pi)^(2m)),
+    both in hardware floats.  Exploratory output only; nothing is asserted
+    beyond the table itself.
     """
-    import mpmath as mp
-
     if m_max > CONJECTURE_M_CAP:
         raise ValueError(f"m_max exceeds the cap {CONJECTURE_M_CAP}")
     rows = []
     for m in range(1, m_max + 1):
         thr = gamma_threshold(m, 3, 0)
-        approx_scale = mp.mpf(2 * m * m) / mp.pi
-        approx = approx_scale ** (2 * m)
-        if isinstance(thr, AlgebraicReal):
-            g = mp.mpf(float(thr))
-        else:
-            g = mp.mpf(thr.numerator) / mp.mpf(thr.denominator)
-        ratio = None
-        if g > 0:
-            ratio = float(mp.log(g) / mp.log(approx))
+        approx = (2 * m * m / math.pi) ** (2 * m)
+        g = float(thr)
         rows.append({
             "m": m,
             "gamma": thr,
-            "comparison": float(approx),
-            "log_ratio": ratio,
+            "comparison": approx,
+            "log_ratio": math.log(g) / math.log(approx) if g > 0 else None,
         })
     return rows

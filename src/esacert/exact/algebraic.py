@@ -27,28 +27,6 @@ from .poly import (RationalPolynomial, as_fraction, count_real_roots,
                    refine_isolating_interval, square_free_part)
 
 
-def sqrt_bounds(q: Fraction, max_width: Fraction) -> tuple:
-    """Rational lo <= sqrt(q) <= hi with hi - lo <= max_width, for q >= 0."""
-    q = as_fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0), Fraction(0)
-    # scale so that the integer square root gives the needed resolution
-    shift = 0
-    while Fraction(1, 1 << shift) > max_width:
-        shift += 2
-    shift += 4
-    scaled = q * (1 << (2 * shift))
-    n = scaled.numerator // scaled.denominator
-    r = math.isqrt(n)
-    lo = Fraction(r, 1 << shift)
-    hi = Fraction(r + 2, 1 << shift)
-    if lo * lo > q:
-        lo = Fraction(r - 1, 1 << shift)
-    return lo, hi
-
-
 def rational_sqrt(q: Fraction):
     """The rational square root of q >= 0, or None if q is not a square."""
     if q < 0:
@@ -105,7 +83,8 @@ class AlgebraicReal:
             return a + b * root
         if b == 0:
             return a
-        slo, shi = sqrt_bounds(c, Fraction(1, 1 << 24))
+        r = math.isqrt(math.floor(c * (1 << 56)))   # sqrt(c) in [r, r + 2] / 2^28
+        slo, shi = Fraction(r, 1 << 28), Fraction(r + 2, 1 << 28)
         lo = a + (b * slo if b >= 0 else b * shi)
         hi = a + (b * shi if b >= 0 else b * slo)
         # minimal polynomial: (z - a)^2 - b^2 c

@@ -471,7 +471,7 @@ def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     lc = abs(p.leading)
-    m = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else Fraction(0)
+    m = max(abs(c) for c in p.coeffs[:-1])
     b = 1 + m / lc
     return Fraction(math.floor(b) + 1)
 

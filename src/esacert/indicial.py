@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exact import RationalPolynomial, as_fraction
-from .roots import START_BITS
+from .roots import START_BITS, trajectory_table
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,13 @@ def indicial_base(m: int, nu: int, shift=0) -> RationalPolynomial:
 def build_indicial(spec: IndicialSpec) -> RationalPolynomial:
     """Indicial polynomial D(c; z) of degree 2m (leading coefficient (-1)^m)."""
     return indicial_base(spec.m, spec.nu) + RationalPolynomial.constant(spec.c)
+
+
+def root_trajectories(m: int, n: int, l: int, c_grid: Sequence, map=map) -> list:
+    """Trajectories of the indicial roots of the radial operator over a c-grid,
+    with the root sets computed by ``map`` (see `roots.trajectory_table`)."""
+    return trajectory_table(
+        lambda c: build_indicial(IndicialSpec(m=m, n=n, l=l, c=c)), c_grid, map=map)
 
 
 def euler_quartic(c1, c2) -> RationalPolynomial:

@@ -3,7 +3,7 @@
 Strategy: when p is even about its centroid a, that is p(a + w) = G(w^2)
 as for every indicial polynomial (roots pair to 2m - 1) and every Euler
 quartic (pairs sum to 3), the exact steps run on G at half the degree;
-any other p takes them itself.
+any other p takes them itself, factor by factor, with no halving.
 
 1. the square-free decomposition runs on one Sturm chain (`_decompose`),
    which also gives each factor of G its real-root count at +-infinity; a
@@ -38,15 +38,16 @@ any other p takes them itself.
    there are any, they are divided out (step 1) and steps 2-4 run again
    on what is left, with no rational root.
 
-The disks feed the numeric trajectory output only, and serve the tests as
-an oracle independent of the exact half-plane count in the stability layer;
-no verdict is taken from them.
+The disks feed the numeric trajectory output only (`trajectory_table`; the
+indicial family is built by `indicial.root_trajectories`, and this module
+imports nothing from `indicial`), and serve the tests as an oracle
+independent of the exact half-plane count in the stability layer; no
+verdict is taken from them.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -450,9 +451,9 @@ class _NumericFactor:
     """A monic square-free factor f of the input, to be enclosed
     numerically; each of its roots has multiplicity `mult`.
 
-    With a centre a, f(a + w) = g(w^2): the iteration runs on g, and `real`
-    of its iterates, g's real-root count, are put on the real axis.  Without
-    one, the iteration runs on f.
+    With a centre a (p even about its centroid), f(a + w) = g(w^2): the
+    iteration runs on g, and `real` of its iterates, g's real-root count,
+    are put on the real axis.  Without one, the iteration runs on f.
     """
 
     f: RationalPolynomial
@@ -506,8 +507,7 @@ def _split(p: RationalPolynomial, known=frozenset()) -> tuple:
                     f = f.divide_exact(RationalPolynomial((-r, 1)))
                     exact.append((r, mult))
             if f.degree >= 1:
-                f = f.monic()
-                numeric.append(_NumericFactor(f, mult, *(_even_about_centroid(f) or ())))
+                numeric.append(_NumericFactor(f.monic(), mult))
         return exact, numeric
     a, big_g = half
     k, big_g = _divide_out_zero(big_g)
@@ -865,17 +865,3 @@ def trajectory_csv_rows(points: Sequence[TrajectoryPoint]) -> list:
     body = [[str(pt.c), pt.label, repr(float(pt.re)), repr(float(pt.im)),
              repr(float(pt.radius)), int(pt.ambiguous)] for pt in points]
     return [header] + body
-
-
-def _indicial_polynomial(m: int, n: int, l: int, c) -> RationalPolynomial:
-    # imported here because indicial imports this module
-    from .indicial import IndicialSpec, build_indicial
-
-    return build_indicial(IndicialSpec(m=m, n=n, l=l, c=c))
-
-
-def root_trajectories(m: int, n: int, l: int, c_grid: Sequence, map=map) -> list:
-    """Trajectories of the indicial roots of the radial operator over a c-grid,
-    with the root sets computed by ``map`` (see `trajectory_table`)."""
-    return trajectory_table(functools.partial(_indicial_polynomial, m, n, l),
-                            c_grid, map=map)

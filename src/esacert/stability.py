@@ -281,7 +281,6 @@ class HalfPlaneCount:
     left: int    # Re < -1/2
     axis: int    # Re = -1/2
     right: int   # Re > -1/2
-    exact: bool = True
 
     @property
     def degree(self) -> int:
@@ -289,7 +288,7 @@ class HalfPlaneCount:
 
     def to_json(self) -> dict:
         return {"left": self.left, "axis": self.axis, "right": self.right,
-                "exact": self.exact}
+                "exact": True}
 
 
 def _count_square_free(f: RationalPolynomial) -> tuple:
@@ -331,7 +330,7 @@ def halfplane_count(p: RationalPolynomial) -> HalfPlaneCount:
         left += mult * fl
         axis += mult * fa
         right += mult * fr
-    return HalfPlaneCount(left=left, axis=axis, right=right, exact=True)
+    return HalfPlaneCount(left=left, axis=axis, right=right)
 
 
 # -- quartic real-root classification ------------------------------------------------

@@ -13,7 +13,12 @@ kernel's own.
 The radial region as it was before the crossing sweep: one exact decision
 at a simple rational inside every gap between boundary candidates and at
 every rational candidate.  An irrational candidate with non-ESA gaps on
-both sides is left undecided there.
+both sides is left undecided there.  The crossing sweep's piece assembly as
+it was before the walk emitted the pieces itself: a list of cell verdicts
+and one of candidate memberships, reversed and walked by index.
+
+`sqrt_bounds`, the bracket of a square root that `from_quadratic_surd`
+took before it computed its bracket inline.
 
 The quartic invariants as they were before they were taken on cleared
 integer coefficients: the discriminant by `discriminant` (a Sylvester
@@ -170,7 +175,28 @@ def sampled_region(m, n, l):
             is_in = decide(v)
             assert is_in or not adjacent, "closedness"
             member.append(is_in)
+    return candidates, member, _assemble(candidates, cell_esa, member)
 
+
+def swept_pieces(m, candidates, moves):
+    """The pieces of the crossing sweep as it was before it emitted them
+    while walking: the walk down from m roots left in the top cell fills
+    the cell and membership lists, which are reversed and assembled."""
+    left = m
+    cell_esa, member = [True], []
+    for inc, dec in reversed(moves):
+        member.append(left + dec == m)
+        left += dec - inc
+        cell_esa.append(left == m)
+    cell_esa.reverse()
+    member.reverse()
+    return _assemble(candidates, cell_esa, member)
+
+
+def _assemble(candidates, cell_esa, member):
+    """Maximal runs of ESA cells (cell i lies below candidate i), and each
+    member candidate with non-ESA cells on both sides as a point."""
+    k = len(candidates)
     pieces = []
     i = 0
     while i <= k:
@@ -184,7 +210,29 @@ def sampled_region(m, n, l):
             i += 1
         hi = esa.POS_INF if i == k + 1 else candidates[i - 1]
         pieces.append(esa.RegionPiece(lo=candidates[run_start - 1], hi=hi))
-    return candidates, member, pieces
+    return pieces
+
+
+def sqrt_bounds(q: Fraction, max_width: Fraction) -> tuple:
+    """Rational lo <= sqrt(q) <= hi with hi - lo <= max_width, for q >= 0."""
+    q = as_fraction(q)
+    if q < 0:
+        raise ValueError("negative radicand")
+    if q == 0:
+        return Fraction(0), Fraction(0)
+    # scale so that the integer square root gives the needed resolution
+    shift = 0
+    while Fraction(1, 1 << shift) > max_width:
+        shift += 2
+    shift += 4
+    scaled = q * (1 << (2 * shift))
+    n = scaled.numerator // scaled.denominator
+    r = math.isqrt(n)
+    lo = Fraction(r, 1 << shift)
+    hi = Fraction(r + 2, 1 << shift)
+    if lo * lo > q:
+        lo = Fraction(r - 1, 1 << shift)
+    return lo, hi
 
 
 def quartic_invariants(q):

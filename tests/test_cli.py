@@ -421,7 +421,8 @@ def test_decide_loads_no_process_pool():
 
 def test_verdict_commands_load_no_mpmath():
     # verdicts are exact, so decide, region and table never import mpmath
-    # (nor frobenius, which loads on first use of a basis or fig2)
+    # (nor frobenius, which loads on first use of a basis or fig2); the
+    # conjecture table takes its comparison values in hardware floats
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = (
@@ -431,6 +432,7 @@ def test_verdict_commands_load_no_mpmath():
         "assert run(['decide', '--m', '2', '--n', '8', '--l', '0', '--c', '0']) == 0\n"
         "assert run(['region', '--m', '2', '--n', '5', '--all-l', '--lmax', '2']) == 0\n"
         "assert run(['table', '--which', 'gamma2']) == 0\n"
+        "assert run(['conjecture', '--mmax', '3']) == 0\n"
         "print(sorted(m for m in ('mpmath', 'esacert.frobenius') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,

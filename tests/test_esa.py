@@ -1,9 +1,10 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import earlier_kernel
@@ -18,7 +19,8 @@ from esacert.esa import (POS_INF, EsaRegion, RegionPiece,
                          power_zero_coupling, value_cmp, value_eq)
 from esacert.exact import AlgebraicReal, RationalPolynomial, simplest_between
 from esacert.indicial import IndicialSpec
-from esacert.stability import HurwitzData, halfplane_count, hurwitz_assemble
+from esacert.stability import (HalfPlaneCount, HurwitzData, halfplane_count,
+                               hurwitz_assemble)
 from esacert.indicial import build_indicial, euler_quartic
 from conftest import rand_fraction
 
@@ -131,6 +133,11 @@ class TestRadialRegions:
         assert irrational > 0
 
 
+@functools.lru_cache(maxsize=None)
+def _candidate_count(m, n, l):
+    return len(esa_region_radial(m, n, l).boundary_candidates)
+
+
 class TestCrossingSweep:
     def test_matches_sampled_regions(self):
         # the earlier per-gap sampling as a differential oracle: same pieces,
@@ -180,6 +187,47 @@ class TestCrossingSweep:
         monkeypatch.setattr(esa, "_crossings",
                             lambda hd, bounds: [[0, 0], [1, 2], [2, 0]])
         assert esa_region_radial(3, 3, 0).render() == "{10395/64} ∪ [36201.2, ∞)"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([(5, 20, 0), (7, 2, 0)]), st.data())
+    def test_one_pass_matches_two_list_assembly(self, key, data):
+        # random crossing walks down from m roots left in the top cell, each
+        # keeping 0 <= left and left + dec <= m and ending below m, against
+        # the earlier assembly from the cell and membership lists
+        m, n, l = key
+        left, moves = m, []
+        for _ in range(_candidate_count(m, n, l)):
+            dec = data.draw(st.integers(0, m - left))
+            inc = data.draw(st.integers(0, left + dec))
+            moves.append([inc, dec])
+            left += dec - inc
+        assume(left != m)
+        moves.reverse()     # listed from the lowest candidate up
+        counts = iter([m, left])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(esa, "_crossings", lambda hd, bounds: moves)
+            mp.setattr(esa, "halfplane_count",
+                       lambda p: HalfPlaneCount(next(counts), 0, 0))
+            region = esa_region_radial(m, n, l)
+        want = earlier_kernel.swept_pieces(m, region.boundary_candidates, moves)
+        assert len(region.pieces) == len(want)
+        for got, ref in zip(region.pieces, want):
+            assert got.lo is ref.lo and got.hi is ref.hi
+
+    @pytest.mark.parametrize("moves,counts,message", [
+        ([[0, 0], [0, 0], [0, 0]], [4, 4], r"\+infinity cell"),
+        ([[0, 0], [0, 0], [0, 1]], [5, 5], "more than m roots"),
+        ([[0, 0], [0, 0], [2, 0]], [5, 4], "disagrees with the count below"),
+        ([[0, 0], [0, 0], [0, 0]], [5, 5], "-infinity cell"),
+    ])
+    def test_inconsistent_walks_raise(self, monkeypatch, moves, counts, message):
+        # (5, 20, 0) has three candidates; the counts are above and below them
+        counts = iter(counts)
+        monkeypatch.setattr(esa, "_crossings", lambda hd, bounds: moves)
+        monkeypatch.setattr(esa, "halfplane_count",
+                            lambda p: HalfPlaneCount(next(counts), 0, 0))
+        with pytest.raises(AssertionError, match=message):
+            esa_region_radial(5, 20, 0)
 
     def test_two_counts_per_region(self, monkeypatch):
         calls = []
@@ -358,6 +406,23 @@ class TestConjectureExploration:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             conjecture_explore(99)
+
+    def test_floats_match_the_mpmath_formula(self):
+        # the table in hardware floats prints the same reprs as the same
+        # formula in 53-bit mpmath
+        import mpmath as mp
+
+        with mp.workprec(53):
+            for row in conjecture_explore(9):
+                m, thr = row["m"], row["gamma"]
+                approx = (mp.mpf(2 * m * m) / mp.pi) ** (2 * m)
+                if isinstance(thr, AlgebraicReal):
+                    g = mp.mpf(float(thr))
+                else:
+                    g = mp.mpf(thr.numerator) / mp.mpf(thr.denominator)
+                ratio = float(mp.log(g) / mp.log(approx)) if g > 0 else None
+                assert repr(row["comparison"]) == repr(float(approx))
+                assert repr(row["log_ratio"]) == repr(ratio)
 
 
 class TestPieceAlgebra:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from esacert.esa import render_value
+from earlier_kernel import sqrt_bounds
+from esacert.esa import gamma3_closed_form, render_value
 from esacert.exact import (AlgebraicReal, RationalPolynomial, exact_real_roots,
-                           sqrt_bounds, value_compare)
+                           rational_sqrt, value_compare)
 
 Z = RationalPolynomial.variable()
 SQRT2 = lambda: AlgebraicReal(Z * Z - 2, F(1), F(2))
@@ -157,10 +158,45 @@ def test_exact_real_roots_strictly_increasing_disjoint(case):
     assert [float(r) for r in roots] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def test_sqrt_bounds():
-    lo, hi = sqrt_bounds(F(2), F(1, 10 ** 6))
-    assert lo * lo <= 2 <= hi * hi
-    assert hi - lo <= F(1, 10 ** 6)
+def _check_surd(a, b, c, x):
+    """x = from_quadratic_surd(a, b, c) as built, against a + b*sqrt(c)
+    with sqrt(c) bracketed by sqrt_bounds(c, 2^-24)."""
+    root = rational_sqrt(c)
+    if root is not None or b == 0:
+        assert x == a + b * (root or 0)
+        return
+    slo, shi = sqrt_bounds(c, F(1, 1 << 24))
+    assert slo * slo <= c <= shi * shi and shi - slo <= F(1, 1 << 24)
+    assert x.interval == ((a + b * slo, a + b * shi) if b > 0
+                          else (a + b * shi, a + b * slo))
+
+
+def test_surd_interval_matches_sqrt_bounds_on_gamma3(monkeypatch):
+    calls = []
+    build = AlgebraicReal.from_quadratic_surd.__func__
+
+    def spy(cls, a, b, c):
+        x = build(cls, a, b, c)
+        calls.append((a, b, c, x))
+        return x
+
+    monkeypatch.setattr(AlgebraicReal, "from_quadratic_surd", classmethod(spy))
+    for n in range(2, 10):
+        gamma3_closed_form(n)
+    assert len(calls) == 8
+    assert sum(isinstance(x, AlgebraicReal) for *_, x in calls) == 4   # n = 3, 4, 5, 7
+    for a, b, c, x in calls:
+        _check_surd(F(a), F(b), F(c), x)
+
+
+_surd_part = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_surd_part, _surd_part,
+       st.fractions(min_value=0, max_value=10 ** 9, max_denominator=10 ** 5))
+def test_surd_interval_matches_sqrt_bounds(a, b, c):
+    _check_surd(a, b, c, AlgebraicReal.from_quadratic_surd(a, b, c))
 
 
 def test_pickle_roundtrip():

@@ -13,15 +13,15 @@ from esacert.exact import poly
 from esacert.exact import (RationalPolynomial, exact_real_roots, rational_roots,
                            rational_sqrt, real_root_factors,
                            square_free_decomposition)
-from esacert.indicial import IndicialSpec, build_indicial, euler_quartic
+from esacert.indicial import (IndicialSpec, build_indicial, euler_quartic,
+                               root_trajectories)
 from esacert.roots import (MAX_BITS, START_BITS, CertifiedRoot, OrderedRootSet,
                            RealPartPosition, Unresolved, _NumericFactor, _aberth,
                            _certify, _even_about_centroid, _float_seeds,
                            _min_cost_assignment, _pairwise_disjoint,
                            _rational_roots_in_disks, _split, _sqrt_upper_pow2,
                            certified_roots, label_trajectories,
-                           real_part_position, root_trajectories,
-                           trajectory_table)
+                           real_part_position, trajectory_table)
 from esacert.stability import hurwitz_assemble
 from conftest import rand_fraction, rand_poly, real_root_count
 
@@ -306,11 +306,12 @@ class TestHalvedPath:
 
     def test_odd_degree_splits_off_the_centre(self, monkeypatch):
         # the pass at degree 3 finds 3/2 on its disks; once 3/2 is split
-        # off, the rest is even about 3/2 and iterated at degree 1
+        # off, the rest is iterated at its full degree 2: the factors of a p
+        # that is not even about its centroid are not halved
         degrees = self._aberth_degrees(monkeypatch)
         p = (Z - F(3, 2)) * ((Z - F(3, 2)) ** 2 + 1)
         rs = certified_roots(p)
-        assert degrees == [3, 1]
+        assert degrees == [3, 2]
         assert [(r.re, r.im) for r in rs.roots] == [
             (F(3, 2), -1), (F(3, 2), 0), (F(3, 2), 1)]
 
@@ -417,8 +418,7 @@ def _isolation_first_split(p):
                 f = f.divide_exact(RationalPolynomial((-r, 1)))
                 exact.append((r, mult))
             if f.degree >= 1:
-                f = f.monic()
-                numeric.append(_NumericFactor(f, mult, *(_even_about_centroid(f) or ())))
+                numeric.append(_NumericFactor(f.monic(), mult))
         return exact, numeric
     a, big_g = half
     for g, mult, intervals in real_root_factors(big_g):

@@ -364,7 +364,7 @@ class TestHalfPlaneCount:
             p = rand_poly(rng, rng.randint(1, 8))
             hp = halfplane_count(p)
             assert hp.degree == p.degree
-            assert hp.exact
+            assert hp.to_json()["exact"] is True
 
 
 class TestHalfPlaneCountShapes:
