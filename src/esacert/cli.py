@@ -159,7 +159,7 @@ def cmd_table(args) -> int:
         print(header)
         for n, got, _ in rows:
             print(f"{n:>4} {str(got):>12}")
-    elif args.which == "signs520":
+    else:   # signs520
         for l in range(31):
             q = _hurwitz_cached(5, 20, l).q_factor
             got = quartic_classify(q).signs()
@@ -171,8 +171,6 @@ def cmd_table(args) -> int:
         fmt = {1: "+", -1: "-", 0: "0"}
         for l, got, _ in rows:
             print(f"{l:>4} {fmt[got[0]]:>5} {fmt[got[1]]:>4} {fmt[got[2]]:>7}")
-    else:
-        return EXIT_USAGE
     if mismatches:
         print("GOLDEN DATA MISMATCH:", file=sys.stderr)
         for line in mismatches:
@@ -235,7 +233,7 @@ def cmd_figure(args) -> int:
                 _write_trajectories(path, rows,
                                     highlight_label=5 if l == 0 else None)
                 written.append(path)
-    elif args.which == "fig2":
+    else:   # fig2
         from .frobenius import locus_samples
         rows = locus_samples()
         path = out / "fig2_loci.csv"
@@ -251,8 +249,6 @@ def cmd_figure(args) -> int:
         path = out / "fig2_region.csv"
         _write_csv(path, shade)
         written.append(path)
-    else:
-        return EXIT_USAGE
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -263,10 +259,9 @@ def cmd_figure(args) -> int:
 
 def cmd_basis(args) -> int:
     from .frobenius import select_fundamental_system
-    lam = args.lam if args.lam is not None else Fraction(1)
     sel = select_fundamental_system(args.c1, args.c2)
     if args.json:
-        spec = {"c1": str(args.c1), "c2": str(args.c2), "lambda": str(lam)}
+        spec = {"c1": str(args.c1), "c2": str(args.c2)}
         print(_dump_json(_envelope(args.argv, spec, sel.to_json())))
     else:
         cls = sel.classification
@@ -361,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="resonance classification and basis descriptors")
     p.add_argument("--c1", type=rational_arg, required=True)
     p.add_argument("--c2", type=rational_arg, required=True)
-    p.add_argument("--lambda", dest="lam", type=rational_arg, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("conjecture", help="threshold growth exploration table")

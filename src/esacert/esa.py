@@ -197,7 +197,7 @@ class EsaRegion:
     oracle_checked: Optional[str] = None     # "closed-form" when cross-validated
 
     def contains(self, c) -> bool:
-        return any(p.contains(as_fraction(c)) for p in self.pieces)
+        return any(p.contains(c) for p in self.pieces)
 
     def render(self, digits: int = 6) -> str:
         if not self.pieces:

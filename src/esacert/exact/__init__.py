@@ -13,8 +13,6 @@ from .poly import (
     primitive_part,
     rational_roots,
     real_root_factors,
-    refine_isolating_interval,
-    simplest_between,
     square_free_decomposition,
     square_free_part,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "rational_roots",
     "rational_sqrt",
     "real_root_factors",
-    "refine_isolating_interval",
-    "simplest_between",
     "square_free_decomposition",
     "square_free_part",
 ]

@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import (RationalPolynomial, as_fraction, count_real_roots,
+from .poly import (RationalPolynomial, _refine, as_fraction, count_real_roots,
                    isolate_real_roots, poly_gcd, primitive_part,
-                   rational_roots, real_root_factors,
-                   refine_isolating_interval, square_free_part)
+                   rational_roots, real_root_factors, square_free_part)
 
 
 def rational_sqrt(q: Fraction):
@@ -106,7 +105,10 @@ class AlgebraicReal:
         max_width = as_fraction(max_width)
         if max_width <= 0:
             raise ValueError("width must be positive")
-        lo, hi = refine_isolating_interval(self.defining, self._lo, self._hi, max_width)
+        # the defining polynomial is integer-primitive, so its numerators are
+        # the integer coefficients that `_refine` takes
+        lo, hi = _refine([c.numerator for c in self.defining.coeffs],
+                         self._lo, self._hi, max_width)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
         return lo, hi

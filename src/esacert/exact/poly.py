@@ -193,13 +193,6 @@ class RationalPolynomial:
             ar, ai = ar * re - ai * im + c, ar * im + ai * re
         return ar, ai
 
-    def eval_mp(self, ctx, z):
-        """Horner evaluation under an mpmath context at current precision."""
-        acc = ctx.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-        return acc
-
     # -- calculus and substitutions ------------------------------------------
 
     def derivative(self) -> "RationalPolynomial":
@@ -548,18 +541,6 @@ def _refine(ic: list, lo: Fraction, hi: Fraction, max_width: Fraction) -> tuple:
     return lo, hi
 
 
-def refine_isolating_interval(p: RationalPolynomial, lo: Fraction, hi: Fraction,
-                              max_width: Fraction) -> tuple:
-    """Bisect a sign-change interval of p until its width is <= max_width.
-
-    Sign evaluations run on the integer-cleared coefficients, so bisection
-    stays in integer arithmetic throughout.
-    """
-    if lo == hi:
-        return lo, hi
-    return _refine(primitive_coeffs(p.coeffs), lo, hi, max_width)
-
-
 def real_root_factors(p: RationalPolynomial) -> list:
     """[(f, multiplicity, isolating intervals of f)] over the square-free
     decomposition of p, the intervals as from `isolate_real_roots(f)`.
@@ -623,40 +604,15 @@ def char_poly_coeffs(rows: list) -> list:
     return desc[::-1]
 
 
-# -- continued-fraction utilities -------------------------------------------------
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator (then numerator) in [lo, hi]."""
-    lo, hi = as_fraction(lo), as_fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_between(-hi, -lo)
-    # now 0 < lo < hi
-    fl = math.floor(lo)
-    if fl + 1 <= hi:
-        return Fraction(fl + 1) if lo > fl else Fraction(fl)
-    frac_lo = lo - fl
-    if frac_lo == 0:
-        return Fraction(fl)
-    return fl + 1 / simplest_between(1 / (hi - fl), 1 / frac_lo)
-
-
 def rational_roots(p: RationalPolynomial, intervals=None) -> list:
     """All rational roots of a square-free polynomial, found exactly.
 
     A root u/v in lowest terms of the primitive integer polynomial with
     leading coefficient lc has v | lc (rational root theorem), so it is a
-    multiple of 1/|lc|.  An isolating interval wider than 1/|lc| is first
-    probed with the simplest rational it contains, then bisected to width
+    multiple of 1/|lc|.  Each isolating interval is bisected to width
     <= 1/|lc|; its endpoints are not roots, so the open interval then holds
-    at most one multiple of 1/|lc|, which is tested exactly.  Every test is
-    the integer sign of the primitive polynomial at the candidate.
+    at most one multiple of 1/|lc|, which is tested exactly by the integer
+    sign of the primitive polynomial.
     `intervals`, if given, replace `isolate_real_roots(p)`: each is (r, r)
     for a root r, or an open interval whose ends are not roots and which
     holds at most one root of p, and together they hold every real root.
@@ -666,25 +622,15 @@ def rational_roots(p: RationalPolynomial, intervals=None) -> list:
     ic = primitive_coeffs(p.coeffs)
     lc = abs(ic[-1])
     step = Fraction(1, lc)
-
-    def is_root(x: Fraction) -> bool:
-        return _sign_at(ic, x.numerator, x.denominator) == 0
-
     out = []
     if intervals is None:
         intervals = isolate_real_roots(p)
     for lo, hi in intervals:
-        if hi - lo > step:
-            w = hi - lo
-            cand = simplest_between(lo + w / 8, hi - w / 8)
-            if is_root(cand):
-                lo = hi = cand
-            else:
-                lo, hi = _refine(ic, lo, hi, step)
+        lo, hi = _refine(ic, lo, hi, step)
         if lo < hi:
-            cand = Fraction(math.floor(lo * lc) + 1, lc)
-            if cand < hi and is_root(cand):
-                lo = hi = cand
+            k = math.floor(lo * lc) + 1
+            if k < hi * lc and not _sign_at(ic, k, lc):
+                lo = hi = Fraction(k, lc)
         if lo == hi:
             out.append(lo)
     return sorted(out)

@@ -52,6 +52,10 @@ from .indicial import EulerParams, euler_quartic, quartic_roots_closed_form
 from .roots import START_BITS
 
 
+# term budget of a series before it gives up on certifying its tail
+MAX_SERIES_TERMS = 10 ** 6
+
+
 class ResonanceError(ValueError):
     """A series parameter hit a nonpositive integer; the basis degenerates."""
 
@@ -300,31 +304,31 @@ def select_fundamental_system(c1, c2) -> BasisSelection:
 # -- series evaluation and residuals -----------------------------------------------
 
 
-def _check_parameters(params: Sequence, tol: float = 1e-9):
+def _check_parameters(params: Sequence):
     """Raise ResonanceError at a nonpositive-integer series parameter: exactly
-    for a rational (int or Fraction) parameter, within tol otherwise."""
+    for a rational (int or Fraction) parameter, within 1e-9 otherwise."""
     for p in params:
         if isinstance(p, (int, Fraction)):
             resonant = p.denominator == 1 and p <= 0
         else:
             p = complex(p)
             nearest = round(p.real)
-            resonant = (abs(p.imag) < tol and nearest <= 0
-                        and abs(p.real - nearest) < tol)
+            resonant = (abs(p.imag) < 1e-9 and nearest <= 0
+                        and abs(p.real - nearest) < 1e-9)
         if resonant:
             raise ResonanceError(
                 f"series parameter {p} is a nonpositive integer; "
                 "use select_fundamental_system for a valid basis")
 
 
-def _0F3_terms(p1, p2, p3, z, tol: float, max_terms: int = 10 ** 6):
+def _0F3_terms(p1, p2, p3, z, tol: float):
     """The terms t_0 = 1, t_1, ..., t_K of sum z^k / ((p1)_k (p2)_k (p3)_k k!),
     with t_(k+1) = t_k z / ((p1 + k)(p2 + k)(p3 + k)(k + 1)), at the working
     precision.
 
     Ends at the first t_K with |t_K| < tol after which a geometric ratio
     bound certifies the dropped tail to be at most tol in absolute value;
-    raises if the term budget is exhausted first.  The caller rejects
+    raises if MAX_SERIES_TERMS terms do not get there.  The caller rejects
     nonpositive-integer parameters (the series degenerates) by
     `_check_parameters`.
     """
@@ -334,7 +338,7 @@ def _0F3_terms(p1, p2, p3, z, tol: float, max_terms: int = 10 ** 6):
     term = mp.mpc(1)
     yield term
     k = 0
-    while k < max_terms:
+    while k < MAX_SERIES_TERMS:
         denom = (p1 + k) * (p2 + k) * (p3 + k) * (k + 1)
         if denom == 0:
             raise ResonanceError("series recurrence hit a zero denominator")
@@ -346,10 +350,11 @@ def _0F3_terms(p1, p2, p3, z, tol: float, max_terms: int = 10 ** 6):
         ratio = abs(z) / abs((p1 + k) * (p2 + k) * (p3 + k) * (k + 1))
         if ratio < 0.5 and abs(term) * ratio / (1 - ratio) < tol and abs(term) < tol:
             return
-    raise ResonanceError(f"series did not certify its tail within {max_terms} terms")
+    raise ResonanceError(
+        f"series did not certify its tail within {MAX_SERIES_TERMS} terms")
 
 
-def eval_0F3(p1, p2, p3, z, tol: float = 1e-20, max_terms: int = 10 ** 6):
+def eval_0F3(p1, p2, p3, z, tol: float = 1e-20):
     """Truncated hypergeometric series sum z^k / ((p1)_k (p2)_k (p3)_k k!),
     with the dropped tail certified to be at most tol (see `_0F3_terms`)."""
     _check_parameters((p1, p2, p3))
@@ -357,7 +362,7 @@ def eval_0F3(p1, p2, p3, z, tol: float = 1e-20, max_terms: int = 10 ** 6):
     with mp.workprec(prec):
         total = mp.mpc(0)
         for term in _0F3_terms(_mpc_of(p1), _mpc_of(p2), _mpc_of(p3), _mpc_of(z),
-                               tol, max_terms):
+                               tol):
             total += term
         return total
 
@@ -389,17 +394,17 @@ def ode_defect(sel: BasisSelection, index: int, c1, c2, lam, r,
     with mp.workprec(prec):
         lam_mp = _mpc_of(lam)
         r_mp = _mpf_of(r)
-        alpha = min(hi, key=lambda w: abs(w - mp.mpc(desc.exponent)))
-        others = sorted((w for w in hi if w is not alpha),
-                        key=lambda w: (float(w.real), float(w.imag)))
-        ps = [1 + (alpha - w) / 4 for w in others]
+        # the member at position i has exponent a_i (`select_fundamental_system`)
+        alpha = hi[index - 1]
+        ps = [1 + (alpha - w) / 4 for j, w in enumerate(hi) if j != index - 1]
         _check_parameters(ps)
+        coeffs = [_mpf_of(c) for c in quartic.descending()]
         x = lam_mp * r_mp ** 4 / 256
         # t_k = u_k x^k, with tau(r^(alpha+4k)) = E(alpha + 4k) r^(alpha+4k-4)
         op_sum = mp.mpc(0)    # sum t_k E(alpha+4k) r^(-4)
         fn_sum = mp.mpc(0)    # sum t_k
         for k, term in enumerate(_0F3_terms(*ps, x, tol)):
-            op_sum += term * quartic.eval_mp(mp, alpha + 4 * k) / r_mp ** 4
+            op_sum += term * mp.polyval(coeffs, alpha + 4 * k) / r_mp ** 4
             fn_sum += term
         return r_mp ** mp.mpc(alpha) * (op_sum - lam_mp * fn_sum)
 
@@ -474,24 +479,20 @@ def resonance_geometry_table(h_max: int = 5, k_max: int = 5) -> list:
     return out
 
 
-def locus_samples(line_k_max: int = 5, parabola_k_max: int = 3,
-                  c1_lo: Fraction = Fraction(-30), c1_hi: Fraction = Fraction(5),
-                  samples: int = 141) -> list:
-    """Point samples of the locus families with a closed-form ESA flag.
+def locus_samples() -> list:
+    """Point samples of L_0..L_5 and P_0..P_3 with a closed-form ESA flag,
+    at the 141 points c1 = -30 + i/4, i = 0..140.
 
     Rows: (locus_id, k, c1, c2, esa_flag); used for plotting the resonance
     geometry on top of the ESA region of the two-parameter family.
     """
     from .esa import euler_esa_closed_form
 
-    c1_lo, c1_hi = as_fraction(c1_lo), as_fraction(c1_hi)
-    step = (c1_hi - c1_lo) / (samples - 1)
     rows = []
-    for kind, k_top, c2_of in (("line", line_k_max, line_c2),
-                               ("parabola", parabola_k_max, parabola_c2)):
+    for kind, k_top, c2_of in (("line", 5, line_c2), ("parabola", 3, parabola_c2)):
         for k in range(k_top + 1):
-            for i in range(samples):
-                c1 = c1_lo + step * i
+            for i in range(141):
+                c1 = Fraction(i - 120, 4)   # -30 + i/4
                 c2 = c2_of(c1, k)
                 rows.append((kind, k, c1, c2, euler_esa_closed_form(c1, c2)))
     return rows

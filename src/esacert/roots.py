@@ -380,10 +380,9 @@ def _dyadic_step(i: int, z: list, desc: Sequence[int], bits: int,
     return _log2_abs(step) + tol_bits >= _log2_one_plus(_log2_abs(z[i]))
 
 
-def _aberth(coeffs: Sequence[Fraction], prec_bits: int,
-            steps: int | None = None) -> list:
+def _aberth(coeffs: Sequence[Fraction], prec_bits: int, steps: int) -> list:
     """Aberth-Ehrlich candidates for a square-free polynomial (ascending coeffs),
-    after at most `steps` sweeps (by default 40 + 10 * degree + prec_bits/2).
+    after at most `steps` sweeps.
 
     The iteration starts from the Newton-polygon points.  At START_BITS it
     first runs in hardware floats, and the dyadic sweeps (`_dyadic_step`)
@@ -393,8 +392,6 @@ def _aberth(coeffs: Sequence[Fraction], prec_bits: int,
     to its modulus, so a part below that is zero.
     """
     d = len(coeffs) - 1
-    if steps is None:
-        steps = 40 + 10 * d + prec_bits // 2
     logs = _initial_log_radii(coeffs)
     angles = [2 * math.pi * k / d + 0.7 for k in range(d)]
     seeds = None
@@ -544,12 +541,12 @@ def _centers(job: _NumericFactor, prec_bits: int) -> list:
     real y gives centers on the real axis (y > 0) or on the line Re z = a
     (y < 0).
     """
+    # the step budget of the full degree, also for g: the iterates close in
+    # on a cluster of roots of g no faster than on the matching roots of f
+    steps = 40 + 10 * job.f.degree + prec_bits // 2
     if job.a is None:
-        return _aberth(job.f.coeffs, prec_bits)
-    # the step budget of the full degree: the iterates close in on a
-    # cluster of roots of g no faster than on the matching roots of f
-    ys = _aberth(job.g.coeffs, prec_bits,
-                 steps=40 + 10 * job.f.degree + prec_bits // 2)
+        return _aberth(job.f.coeffs, prec_bits, steps)
+    ys = _aberth(job.g.coeffs, prec_bits, steps)
     # g has `real` real roots, and its iterates nearest the axis are those
     for k in sorted(range(len(ys)), key=lambda k: abs(ys[k][1]))[:job.real]:
         ys[k] = (ys[k][0], Fraction(0))
@@ -590,23 +587,13 @@ def _pairwise_disjoint(disks: list) -> bool:
     """Exact check that closed disks (re, im, radius) are pairwise disjoint.
 
     Every coordinate is scaled by their common denominator, so the
-    comparisons run on ints.  Disks sorted by the left end re - radius of
-    their shadow on the real axis; a disk whose shadow starts right of
-    another's ends is disjoint from it, and so is every disk after it.
+    comparisons run on ints; all pairs are compared.
     """
     den = math.lcm(*(x.denominator for disk in disks for x in disk))
-    edges = []
-    for disk in disks:
-        re, im, rad = (x.numerator * (den // x.denominator) for x in disk)
-        edges.append((re - rad, re + rad, re, im, rad))
-    edges.sort(key=lambda t: t[0])
-    for i, (_, right, ri, ii, pi) in enumerate(edges):
-        for left, _, rj, ij, pj in edges[i + 1:]:
-            if left > right:
-                break
-            dr, di = ri - rj, ii - ij
-            s = pi + pj
-            if dr * dr + di * di <= s * s:
+    ints = [[x.numerator * (den // x.denominator) for x in disk] for disk in disks]
+    for i, (ri, ii, pi) in enumerate(ints):
+        for rj, ij, pj in ints[i + 1:]:
+            if (ri - rj) ** 2 + (ii - ij) ** 2 <= (pi + pj) ** 2:
                 return False
     return True
 
@@ -677,13 +664,13 @@ def certified_roots(p: RationalPolynomial,
     any is found, `_split` divides them out and the precision loop runs
     again from `precision_bits` on the rest.  If p is even about its
     centroid, the decomposition and the iteration run at half the degree
-    (see `_split` and `_centers`); otherwise a factor even about its own
-    centroid still gets the half-degree iteration.  Either way the disks
-    are certified on the numeric factor itself.  A cluster (in the
-    half-degree case, two roots of g close together) only raises the
-    precision.  So does a rational root clustered with another root, since
-    it is iterated before it is split off: one closer than about
-    2^-MAX_BITS * |x| to another root raises PrecisionExceededError.
+    (see `_split` and `_centers`); otherwise they run on p's own
+    square-free factors.  Either way the disks are certified on the
+    numeric factor itself.  A cluster (in the half-degree case, two roots
+    of g close together) only raises the precision.  So does a rational
+    root clustered with another root, since it is iterated before it is
+    split off: one closer than about 2^-MAX_BITS * |x| to another root
+    raises PrecisionExceededError.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a nonconstant polynomial")

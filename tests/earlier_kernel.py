@@ -20,6 +20,10 @@ and one of candidate memberships, reversed and walked by index.
 `sqrt_bounds`, the bracket of a square root that `from_quadratic_surd`
 took before it computed its bracket inline.
 
+`simplest_between`, the simplest rational in an interval, with which
+`rational_roots` once probed every isolating interval before bisecting it;
+here it picks the sample point inside a gap.
+
 The quartic invariants as they were before they were taken on cleared
 integer coefficients: the discriminant by `discriminant` (a Sylvester
 resultant) and Pi and Lambda by Fraction arithmetic on the coefficients.
@@ -44,12 +48,33 @@ from esacert import esa
 from esacert.exact import (AlgebraicReal, RationalPolynomial, as_fraction,
                            bareiss_det, char_poly_coeffs, gcd_and_cauchy_index,
                            isolate_real_roots, primitive_part, rational_roots,
-                           real_root_factors, simplest_between, value_compare)
+                           real_root_factors, value_compare)
 from esacert.exact.poly import (_chain_variations_at, _chain_variations_at_inf,
                                 clear_denominators, sturm_chain)
 from esacert.indicial import IndicialSpec
 from esacert.stability import (QuarticInvariants, QuarticRootClass,
                                critical_line_parts, hurwitz_assemble)
+
+
+def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with smallest denominator (then numerator) in [lo, hi]."""
+    lo, hi = as_fraction(lo), as_fraction(hi)
+    if lo > hi:
+        raise ValueError("empty interval")
+    if lo == hi:
+        return lo
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -simplest_between(-hi, -lo)
+    # now 0 < lo < hi
+    fl = math.floor(lo)
+    if fl + 1 <= hi:
+        return Fraction(fl + 1) if lo > fl else Fraction(fl)
+    frac_lo = lo - fl
+    if frac_lo == 0:
+        return Fraction(fl)
+    return fl + 1 / simplest_between(1 / (hi - fl), 1 / frac_lo)
 
 
 def poly_gcd(a, b):

@@ -272,6 +272,13 @@ class TestBasisCommand:
         kinds = [s["kind"] for s in payload["result"]["solutions"]]
         assert kinds == ["G40", "G30", "G20", "0F3"]
         assert payload["result"]["solutions"][1]["argument"] == "-lambda*r^4/256"
+        assert payload["spec"] == {"c1": "5/4", "c2": "-39/16"}
+
+    def test_no_lambda_option(self):
+        # the basis does not depend on the spectral parameter
+        with pytest.raises(SystemExit) as exc:
+            run(["basis", "--c1", "0", "--c2", "-1", "--lambda", "2"])
+        assert exc.value.code == 2
 
 
 class TestConjectureCommand:

@@ -17,7 +17,8 @@ from esacert.esa import (POS_INF, EsaRegion, RegionPiece,
                          gamma3_closed_form, gamma_threshold,
                          intersect_pieces, oracle_threshold,
                          power_zero_coupling, value_cmp, value_eq)
-from esacert.exact import AlgebraicReal, RationalPolynomial, simplest_between
+from earlier_kernel import simplest_between
+from esacert.exact import AlgebraicReal, RationalPolynomial
 from esacert.indicial import IndicialSpec
 from esacert.stability import (HalfPlaneCount, HurwitzData, halfplane_count,
                                hurwitz_assemble)
@@ -90,6 +91,16 @@ class TestRadialRegions:
         assert isinstance(second.lo, AlgebraicReal) and second.lo.equals(gamma)
         assert second.hi is POS_INF
 
+    def test_contains_takes_algebraic_values(self):
+        # the ends beta and gamma of the island, as AlgebraicReals of their
+        # own; a float is still rejected
+        region = esa_region_radial(5, 20, 0)
+        beta, gamma = golden.island_roots()
+        assert region.contains(beta) and region.contains(gamma)
+        assert not region.contains(F((float(beta) + float(gamma)) / 2))
+        with pytest.raises(TypeError):
+            region.contains(float(gamma))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(1, 5), st.integers(2, 30), st.integers(0, 14))
     def test_region_membership_consistent_with_decide(self, m, nu, l):
@@ -151,7 +162,7 @@ class TestCrossingSweep:
                                                boundary_candidates=candidates))
                 for v, want in zip(region.boundary_candidates, member):
                     if want is not None:
-                        assert any(p.contains(v) for p in region.pieces) == want
+                        assert region.contains(v) == want
 
     def test_zero_slope_at_the_origin_raises(self, monkeypatch):
         # O(v) = v: the root at w = 0 is double at c = r

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esacert.exact import (RationalPolynomial, bareiss_det,
+from esacert.exact import (AlgebraicReal, RationalPolynomial, bareiss_det,
                            cauchy_root_bound, char_poly_coeffs, count_real_roots,
                            gcd_and_cauchy_index, isolate_real_roots,
                            poly_gcd, rational_roots,
-                           refine_isolating_interval, simplest_between,
                            square_free_decomposition, square_free_part)
 from esacert.exact import poly
 from esacert.exact.poly import real_root_factors, sturm_chain
 from conftest import binomial_shift, rand_fraction, rand_poly
 from earlier_kernel import (berkowitz_coeffs, char_poly, det_fractions,
-                            discriminant, resultant)
+                            discriminant, resultant, simplest_between)
 
 Z = RationalPolynomial.variable()
 
@@ -57,8 +56,10 @@ class TestArithmetic:
 
 def fraction_rational_roots(p, intervals):
     """`rational_roots` with every candidate tested by Fraction Horner and
-    every interval of positive width probed with its simplest rational."""
-    lc = abs(poly.primitive_coeffs(p.coeffs)[-1])
+    every interval of positive width probed with its simplest rational
+    before it is bisected."""
+    ic = poly.primitive_coeffs(p.coeffs)
+    lc = abs(ic[-1])
     out = []
     for lo, hi in intervals:
         if lo < hi:
@@ -67,7 +68,7 @@ def fraction_rational_roots(p, intervals):
             if p(cand) == 0:
                 lo = hi = cand
             else:
-                lo, hi = refine_isolating_interval(p, lo, hi, F(1, lc))
+                lo, hi = poly._refine(ic, lo, hi, F(1, lc))
         if lo < hi:
             cand = F(math.floor(lo * lc) + 1, lc)
             if cand < hi and p(cand) == 0:
@@ -198,12 +199,11 @@ class TestSturm:
             real_root_factors(RationalPolynomial.zero())
 
     def test_refine_nests(self):
-        lo, hi = F(1), F(2)
         widths = [F(1, 10), F(1, 100), F(1, 10 ** 6)]
-        p = Z * Z - 2
-        prev = (lo, hi)
+        root = AlgebraicReal(Z * Z - 2, 1, 2)
+        prev = root.interval
         for w in widths:
-            cur = refine_isolating_interval(p, *prev, w)
+            cur = root.refine(w)
             assert prev[0] <= cur[0] and cur[1] <= prev[1]
             assert cur[1] - cur[0] <= w
             prev = cur
@@ -408,6 +408,20 @@ class TestRationalRecognition:
         assert rational_roots(Z * Z - 2) == []
         assert fraction_rational_roots(Z * Z - 2, isolate_real_roots(Z * Z - 2)) == []
 
+    @pytest.mark.parametrize("root", [F(-3, 7), F(2, 5), F(5, 3)])
+    def test_small_denominator_root_in_a_wide_interval(self, root):
+        # the case a simplest-rational probe finds at once: a root with a
+        # small denominator in an isolating interval far wider than 1/|lc|;
+        # bisection alone must find it too
+        p = (Z - root) * (10 ** 12 * Z * Z - 2)
+        intervals = isolate_real_roots(p)
+        lc = abs(poly.primitive_coeffs(p.coeffs)[-1])
+        (lo, hi), = [iv for iv in intervals if iv[0] <= root <= iv[1]]
+        assert (hi - lo) * lc > 10 ** 9
+        assert fraction_rational_roots(p, intervals) == [root]
+        assert rational_roots(p, intervals) == [root]
+        assert rational_roots(p, [(lo, hi)]) == [root]
+
     def test_root_off_the_probe_points(self):
         # -15 sits 1/17 of the way along the Cauchy interval [-17, 17], so
         # no bisection point of that interval is -15
@@ -428,8 +442,9 @@ class TestRationalRecognition:
         p = RationalPolynomial.from_roots(roots) * ((Z - a) ** 2 - b)
         intervals = isolate_real_roots(p)
         lc = abs(poly.primitive_coeffs(p.coeffs)[-1])
-        near = [refine_isolating_interval(p, lo, hi, F(2, lc)) for lo, hi in intervals]
-        narrow = [refine_isolating_interval(p, lo, hi, F(1, lc * 2 ** squeeze))
+        ic = poly.primitive_coeffs(p.coeffs)
+        near = [poly._refine(ic, lo, hi, F(2, lc)) for lo, hi in intervals]
+        narrow = [poly._refine(ic, lo, hi, F(1, lc * 2 ** squeeze))
                   for lo, hi in intervals]
         for ivs in (intervals, near, narrow):
             assert rational_roots(p, ivs) == fraction_rational_roots(p, ivs)

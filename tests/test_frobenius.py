@@ -283,10 +283,12 @@ class TestGeometry:
         assert c1 == F(-27, 4)
 
     def test_locus_samples_shape(self):
-        rows = locus_samples(line_k_max=2, parabola_k_max=1, samples=11)
-        assert len(rows) == (3 + 2) * 11
-        kinds = {r[0] for r in rows}
-        assert kinds == {"line", "parabola"}
+        # L_0..L_5 and P_0..P_3, each at c1 = -30 + i/4 for i = 0..140
+        rows = locus_samples()
+        assert len(rows) == (6 + 4) * 141
+        assert sorted({(r[0], r[1]) for r in rows}) == (
+            [("line", k) for k in range(6)] + [("parabola", k) for k in range(4)])
+        assert [r[2] for r in rows[:141]] == [F(-30) + F(i, 4) for i in range(141)]
         for kind, k, c1, c2, flag in rows:
             assert isinstance(flag, bool)
             if kind == "line":
@@ -349,6 +351,15 @@ class TestDisplayRule:
         for i, j in rels:
             g = sel.solutions[i - 1]
             assert g.parameters[:2] == (a[i - 1], a[j - 1])
+
+    @pytest.mark.parametrize("c1,c2", _display_points())
+    def test_series_member_at_i_has_exponent_a_i(self, c1, c2):
+        # `ode_defect` reads the exponent of member i as a_i
+        sel = select_fundamental_system(c1, c2)
+        a = quartic_roots_closed_form(sel.classification.params)
+        for i, s in enumerate(sel.solutions, start=1):
+            if s.kind is SolutionKind.SERIES_F03:
+                assert s.exponent == complex(a[i - 1])
 
     def test_p0_above_pivot_prints_the_lower_display(self):
         above = select_fundamental_system(F(2), F(-3))

@@ -190,7 +190,7 @@ def _full_degree_disks(p, prec):
                 disks.append((r, F(0), F(0)))
             if f.degree >= 1:
                 f = f.monic()
-                centers = _aberth(f.coeffs, prec)
+                centers = _aberth(f.coeffs, prec, 40 + 10 * f.degree + prec // 2)
                 radii = _certify(f, centers)
                 if radii is None:
                     disks = None
@@ -251,9 +251,9 @@ class TestHalvedPath:
     def _aberth_degrees(monkeypatch):
         degrees = []
 
-        def spy(coeffs, prec_bits, **kw):
+        def spy(coeffs, prec_bits, steps):
             degrees.append(len(coeffs) - 1)
-            return _aberth(coeffs, prec_bits, **kw)
+            return _aberth(coeffs, prec_bits, steps)
 
         monkeypatch.setattr(roots, "_aberth", spy)
         return degrees
