@@ -10,24 +10,25 @@ Layers:
 * ``esacert.roots``     certified complex root disks (Aberth iteration with
                         exact a-posteriori certification) for numeric
                         output and as a test oracle;
-* ``esacert.indicial``  indicial polynomials of the radial operators,
-                        their root trajectories and the closed-form
-                        quartic exponents;
+* ``esacert.indicial``  indicial polynomials of the radial operators and
+                        their root trajectories;
 * ``esacert.stability`` Hurwitz determinants in the coupling by
                         Orlando's formula, exact axis-root detection,
                         exact half-plane counting by Cauchy index,
                         quartic real-root classifier;
 * ``esacert.esa``       ESA verdicts, thresholds, regions, closed-form
                         oracles;
-* ``esacert.frobenius`` resonance geometry and fundamental-system selection
-                        for the fourth-order family;
+* ``esacert.frobenius`` resonance geometry, the closed-form characteristic
+                        exponents and fundamental-system descriptors for
+                        the fourth-order family;
 * ``esacert.cli``       the command-line front end.
+
+Every layer uses the standard library alone.
 """
 
 from .exact import AlgebraicReal, RationalPolynomial
 from .indicial import (EulerParams, IndicialSpec, build_indicial,
-                       euler_params, euler_quartic, quartic_roots_closed_form,
-                       root_trajectories)
+                       euler_params, euler_quartic, root_trajectories)
 from .roots import (CertifiedRoot, OrderedRootSet, PrecisionExceededError,
                     certified_roots, real_part_position)
 from .stability import (HalfPlaneCount, HurwitzData, axis_roots_exact,
@@ -40,11 +41,10 @@ from .esa import (EsaRegion, EsaVerdict, Verdict,
 
 __version__ = "0.1.0"
 
-# frobenius (and with it mpmath) loads on first use, so that the verdict
-# commands never import it
+# frobenius loads on first use, so that the verdict commands never import it
 _FROBENIUS = frozenset({
-    "BasisSelection", "ResonanceClassification", "classify_resonance",
-    "eval_0F3", "ode_residual", "resonance_geometry_table",
+    "BasisSelection", "ResonanceClassification", "characteristic_exponents",
+    "classify_resonance", "resonance_geometry_table",
     "select_fundamental_system",
 })
 
@@ -62,12 +62,11 @@ __all__ = [
     "IndicialSpec", "OrderedRootSet", "PrecisionExceededError",
     "RationalPolynomial", "ResonanceClassification", "Verdict",
     "axis_roots_exact", "build_indicial", "certified_roots",
-    "classify_resonance", "conjecture_explore", "disc_q3",
-    "esa_decide_radial", "esa_region_full", "esa_region_radial",
-    "euler_params", "euler_quartic", "eval_0F3", "gamma_threshold",
-    "halfplane_count", "hurwitz_assemble", "ode_residual",
-    "oracle_threshold", "power_zero_coupling", "quartic_classify",
-    "quartic_roots_closed_form", "real_part_position",
+    "characteristic_exponents", "classify_resonance", "conjecture_explore",
+    "disc_q3", "esa_decide_radial", "esa_region_full", "esa_region_radial",
+    "euler_params", "euler_quartic", "gamma_threshold", "halfplane_count",
+    "hurwitz_assemble", "oracle_threshold", "power_zero_coupling",
+    "quartic_classify", "real_part_position",
     "resonance_geometry_table", "root_trajectories",
     "select_fundamental_system",
 ]

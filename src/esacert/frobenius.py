@@ -45,33 +45,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath as mp
-
 from .exact import RationalPolynomial, as_fraction, rational_sqrt
-from .indicial import EulerParams, euler_quartic, quartic_roots_closed_form
-from .roots import START_BITS
-
-
-# term budget of a series before it gives up on certifying its tail
-MAX_SERIES_TERMS = 10 ** 6
-
-
-class ResonanceError(ValueError):
-    """A series parameter hit a nonpositive integer; the basis degenerates."""
-
-
-def _mpf_of(x):
-    """mpf at the current working precision; Fractions convert exactly."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
-
-
-def _mpc_of(x):
-    if isinstance(x, Fraction):
-        return mp.mpc(_mpf_of(x))
-    return mp.mpc(x)
-
+from .indicial import EulerParams
 
 # -- locus equations -------------------------------------------------------------
 
@@ -239,19 +214,126 @@ class BasisSelection:
         }
 
 
-def _series_descriptor(alphas: Sequence, i: int) -> SolutionDescriptor:
-    """Frobenius series solution with exponent alphas[i] (0-based index)."""
-    params = tuple(1 + (alphas[i] - alphas[j]) / 4
-                   for j in range(4) if j != i)
-    return SolutionDescriptor(kind=SolutionKind.SERIES_F03,
-                              exponent=complex(alphas[i]),
-                              parameters=tuple(complex(p) for p in params))
+def _outer_radicand_sign(s: Fraction, inner_radicand: Fraction, plus: bool) -> int:
+    """Exact sign of s +- 4*sqrt(b) for rational s and b >= 0."""
+    b16 = 16 * inner_radicand
+    s2 = s * s
+    if plus:
+        if s >= 0:
+            return 0 if (s == 0 and inner_radicand == 0) else 1
+        # s < 0: sign of 16 b - s^2
+        return (b16 > s2) - (b16 < s2)
+    if s < 0:
+        return -1
+    # s >= 0: sign of s^2 - 16 b
+    return (s2 > b16) - (s2 < b16)
 
 
-def _g_descriptor(kind: SolutionKind, alphas: Sequence, order: Sequence,
-                  negated: bool = False) -> SolutionDescriptor:
-    params = tuple(complex(alphas[j - 1] / 4) for j in order)
-    return SolutionDescriptor(kind=kind, exponent=complex(alphas[order[0] - 1]),
+_SQRT_BITS = 200   # relative precision of an irrational square root
+
+
+def _sqrt(q: Fraction) -> Fraction:
+    """sqrt(q) for rational q >= 0: exact when q is a rational square, else
+    rounded down, within 2^-199 of it relative to its size."""
+    exact = rational_sqrt(q)
+    if exact is not None:
+        return exact
+    shift = max(0, _SQRT_BITS
+                - (q.numerator.bit_length() - q.denominator.bit_length()) // 2)
+    return Fraction(math.isqrt((q.numerator << 2 * shift) // q.denominator),
+                    1 << shift)
+
+
+def characteristic_exponents(c1, c2) -> tuple:
+    """The four roots a1..a4 of the indicial quartic `euler_quartic` at the
+    rational point (c1, c2), as pairs (re, im) of Fractions.
+
+    They are 3/2 -+ S+/2 and 3/2 -+ S-/2 with
+    S+- = sqrt(s +- 4 sqrt(b)), s = 5 - 4 c1, b = 1 - 4 c1 + c1^2 - c2,
+    ordered a1 = 3/2 - S+/2, a2 = 3/2 - S-/2, a3 = 3/2 + S-/2,
+    a4 = 3/2 + S+/2, so a1 + a4 = a2 + a3 = 3.  Both square roots take the
+    principal branch (sqrt(r e^{i phi}) = sqrt(r) e^{i phi/2}, -pi < phi <= pi,
+    a negative real radicand takes phi = pi).  Every branch is decided in
+    rational arithmetic.  Every square root is a `_sqrt` of a rational formed
+    without cancellation, so each part of S+- is exact where it is rational
+    and otherwise within 2^-197 of it relative to its size.
+    """
+    c1, c2 = as_fraction(c1), as_fraction(c2)
+    s = 5 - 4 * c1
+    b = 1 - 4 * c1 + c1 * c1 - c2
+    d = s * s - 16 * b           # (s + 4 sqrt b)(s - 4 sqrt b)
+    if b >= 0:
+        root_b = _sqrt(b)
+        # the outer radicand of sign s has no cancellation; the other is d / it
+        big = s + 4 * root_b if s >= 0 else s - 4 * root_b
+        small = d / big if big else Fraction(0)
+        r_plus, r_minus = (big, small) if s >= 0 else (small, big)
+        sqrts = []
+        for plus, rad in ((True, r_plus), (False, r_minus)):
+            root = _sqrt(abs(rad))
+            real = _outer_radicand_sign(s, b, plus) >= 0
+            sqrts.append((root, Fraction(0)) if real else (Fraction(0), root))
+        (x_p, y_p), (x_m, y_m) = sqrts
+    else:
+        # sqrt(s +- 4i sqrt(-b)) = x +- i y with x^2 - y^2 = s, x y = 2 sqrt(-b);
+        # the radicand has modulus |w| = sqrt(d), and {x, y} = {t, u} with
+        # t^2 = (|w| + |s|)/2 and u^2 = (|w| - |s|)/2 = -8b / (|w| + |s|)
+        big = _sqrt(d) + abs(s)
+        t, u = _sqrt(big / 2), _sqrt(-8 * b / big)
+        x_p, y_p = (t, u) if s >= 0 else (u, t)
+        x_m, y_m = x_p, -y_p
+    mid = Fraction(3, 2)
+    return ((mid - x_p / 2, -y_p / 2), (mid - x_m / 2, -y_m / 2),
+            (mid + x_m / 2, y_m / 2), (mid + x_p / 2, y_p / 2))
+
+
+def _display(cls: ResonanceClassification) -> tuple:
+    """The case tag and the four (kind, order, negated) entries of the
+    fundamental system at a classified point; order lists 1-based exponent
+    indices, led by the exponent of the member (see
+    `select_fundamental_system`)."""
+    if cls.lines and cls.parabolas:
+        return CaseTag.LINE_AND_PARABOLA, (
+            (SolutionKind.MEIJER_G40, (1, 2, 3, 4), False),
+            (SolutionKind.MEIJER_G30, (2, 3, 4, 1), True),
+            (SolutionKind.MEIJER_G20, (3, 4, 1, 2), False),
+            (SolutionKind.SERIES_F03, (4, 1, 2, 3), False))
+    mems = cls.lines + cls.parabolas
+    if not mems:
+        tag = CaseTag.GENERIC
+    elif len(cls.lines) == 2:
+        tag = CaseTag.TWO_LINES
+    elif len(mems) == 1 and mems[0].branch is not Branch.PIVOT:
+        tag = CaseTag(f"one-{mems[0].kind}-{mems[0].branch.value}")
+    else:
+        raise AssertionError(f"impossible membership pattern: {len(cls.lines)} "
+                             f"lines, {len(cls.parabolas)} parabolas")
+    partner = dict(rel for mem in mems for rel in mem.relations)
+    entries = []
+    for i in range(1, 5):
+        head = (i, partner[i]) if i in partner else (i,)
+        order = head + tuple(n for n in range(1, 5) if n not in head)
+        kind = SolutionKind.MEIJER_G20 if i in partner else SolutionKind.SERIES_F03
+        entries.append((kind, order, False))
+    return tag, tuple(entries)
+
+
+def _descriptor(kind: SolutionKind, order: Sequence, negated: bool,
+                a: Sequence) -> SolutionDescriptor:
+    """A member built from the exponents `a` of `characteristic_exponents`:
+    0F3 parameters 1 + (a_i - a_j)/4 with i = order[0] and j over order[1:],
+    or G parameters a_j/4 over order.  The exponent, each difference
+    a_i - a_j and each a_j are rounded to a double once; the quarter and the
+    1 are then taken in double arithmetic, as `basis` has always printed
+    them."""
+    re, im = a[order[0] - 1]
+    if kind is SolutionKind.SERIES_F03:
+        params = tuple(complex(1 + float(re - a[j - 1][0]) / 4,
+                               float(im - a[j - 1][1]) / 4) for j in order[1:])
+    else:
+        params = tuple(complex(float(a[j - 1][0]) / 4, float(a[j - 1][1]) / 4)
+                       for j in order)
+    return SolutionDescriptor(kind=kind, exponent=complex(float(re), float(im)),
                               parameters=params, argument_negated=negated)
 
 
@@ -270,149 +352,10 @@ def select_fundamental_system(c1, c2) -> BasisSelection:
     a parameter.
     """
     cls = classify_resonance(c1, c2)
-    a = quartic_roots_closed_form(cls.params)
-    if cls.lines and cls.parabolas:
-        sols = (
-            _g_descriptor(SolutionKind.MEIJER_G40, a, (1, 2, 3, 4)),
-            _g_descriptor(SolutionKind.MEIJER_G30, a, (2, 3, 4, 1), negated=True),
-            _g_descriptor(SolutionKind.MEIJER_G20, a, (3, 4, 1, 2)),
-            _series_descriptor(a, 3),
-        )
-        return BasisSelection(CaseTag.LINE_AND_PARABOLA, cls, sols)
-    mems = cls.lines + cls.parabolas
-    if not mems:
-        tag = CaseTag.GENERIC
-    elif len(cls.lines) == 2:
-        tag = CaseTag.TWO_LINES
-    elif len(mems) == 1 and mems[0].branch is not Branch.PIVOT:
-        tag = CaseTag(f"one-{mems[0].kind}-{mems[0].branch.value}")
-    else:
-        raise AssertionError(f"impossible membership pattern: {len(cls.lines)} "
-                             f"lines, {len(cls.parabolas)} parabolas")
-    partner = dict(rel for mem in mems for rel in mem.relations)
-    sols = []
-    for i in range(1, 5):
-        if i in partner:
-            rest = tuple(n for n in range(1, 5) if n not in (i, partner[i]))
-            sols.append(_g_descriptor(SolutionKind.MEIJER_G20, a,
-                                      (i, partner[i]) + rest))
-        else:
-            sols.append(_series_descriptor(a, i - 1))
-    return BasisSelection(tag, cls, tuple(sols))
-
-
-# -- series evaluation and residuals -----------------------------------------------
-
-
-def _check_parameters(params: Sequence):
-    """Raise ResonanceError at a nonpositive-integer series parameter: exactly
-    for a rational (int or Fraction) parameter, within 1e-9 otherwise."""
-    for p in params:
-        if isinstance(p, (int, Fraction)):
-            resonant = p.denominator == 1 and p <= 0
-        else:
-            p = complex(p)
-            nearest = round(p.real)
-            resonant = (abs(p.imag) < 1e-9 and nearest <= 0
-                        and abs(p.real - nearest) < 1e-9)
-        if resonant:
-            raise ResonanceError(
-                f"series parameter {p} is a nonpositive integer; "
-                "use select_fundamental_system for a valid basis")
-
-
-def _0F3_terms(p1, p2, p3, z, tol: float):
-    """The terms t_0 = 1, t_1, ..., t_K of sum z^k / ((p1)_k (p2)_k (p3)_k k!),
-    with t_(k+1) = t_k z / ((p1 + k)(p2 + k)(p3 + k)(k + 1)), at the working
-    precision.
-
-    Ends at the first t_K with |t_K| < tol after which a geometric ratio
-    bound certifies the dropped tail to be at most tol in absolute value;
-    raises if MAX_SERIES_TERMS terms do not get there.  The caller rejects
-    nonpositive-integer parameters (the series degenerates) by
-    `_check_parameters`.
-    """
-    # |p + k| grows monotonically once k exceeds -Re p, making the term
-    # ratio decreasing and the geometric tail bound valid
-    k_safe = max(8, 2 + math.ceil(max(0.0, -min(p.real for p in (p1, p2, p3)))))
-    term = mp.mpc(1)
-    yield term
-    k = 0
-    while k < MAX_SERIES_TERMS:
-        denom = (p1 + k) * (p2 + k) * (p3 + k) * (k + 1)
-        if denom == 0:
-            raise ResonanceError("series recurrence hit a zero denominator")
-        term = term * z / denom
-        yield term
-        k += 1
-        if k < k_safe:
-            continue
-        ratio = abs(z) / abs((p1 + k) * (p2 + k) * (p3 + k) * (k + 1))
-        if ratio < 0.5 and abs(term) * ratio / (1 - ratio) < tol and abs(term) < tol:
-            return
-    raise ResonanceError(
-        f"series did not certify its tail within {MAX_SERIES_TERMS} terms")
-
-
-def eval_0F3(p1, p2, p3, z, tol: float = 1e-20):
-    """Truncated hypergeometric series sum z^k / ((p1)_k (p2)_k (p3)_k k!),
-    with the dropped tail certified to be at most tol (see `_0F3_terms`)."""
-    _check_parameters((p1, p2, p3))
-    prec = max(96, int(-math.log2(tol)) + 64)
-    with mp.workprec(prec):
-        total = mp.mpc(0)
-        for term in _0F3_terms(_mpc_of(p1), _mpc_of(p2), _mpc_of(p3), _mpc_of(z),
-                               tol):
-            total += term
-        return total
-
-
-def ode_defect(sel: BasisSelection, index: int, c1, c2, lam, r,
-               tol: float = 1e-20):
-    """(tau y - lambda y)(r) for series member `index` (1-based), as mpc.
-
-    The truncated series is differentiated term by term: the operator maps
-    the monomial r^s to E(c1, c2; s) r^(s-4) exactly, where E is the
-    indicial quartic, so no finite differences enter.  The series is cut
-    where `eval_0F3` cuts it, after a term t_K with |t_K| < tol.  Since
-    E(alpha + 4k) t_k = lambda r^4 t_(k-1), the defect of the cut series
-    telescopes to -lambda r^alpha t_K, so it is at most
-    |lambda| r^(Re alpha) tol up to rounding.  G-function members are
-    rejected (no numeric evaluator in scope).
-    """
-    desc = sel.solutions[index - 1]
-    if desc.kind is not SolutionKind.SERIES_F03:
-        raise ResonanceError("residual evaluation supports series members only")
-    if not float(r) > 0:
-        raise ValueError("need r > 0")
-    quartic = euler_quartic(c1, c2)
-    prec = max(START_BITS, int(-math.log2(tol)) + 80)
-    # re-derive the exponents at working precision; the descriptor stores
-    # them as doubles, which would floor the residual near 1e-15
-    hi = quartic_roots_closed_form(EulerParams(c1=as_fraction(c1), c2=as_fraction(c2)),
-                                   precision_bits=prec)
-    with mp.workprec(prec):
-        lam_mp = _mpc_of(lam)
-        r_mp = _mpf_of(r)
-        # the member at position i has exponent a_i (`select_fundamental_system`)
-        alpha = hi[index - 1]
-        ps = [1 + (alpha - w) / 4 for j, w in enumerate(hi) if j != index - 1]
-        _check_parameters(ps)
-        coeffs = [_mpf_of(c) for c in quartic.descending()]
-        x = lam_mp * r_mp ** 4 / 256
-        # t_k = u_k x^k, with tau(r^(alpha+4k)) = E(alpha + 4k) r^(alpha+4k-4)
-        op_sum = mp.mpc(0)    # sum t_k E(alpha+4k) r^(-4)
-        fn_sum = mp.mpc(0)    # sum t_k
-        for k, term in enumerate(_0F3_terms(*ps, x, tol)):
-            op_sum += term * mp.polyval(coeffs, alpha + 4 * k) / r_mp ** 4
-            fn_sum += term
-        return r_mp ** mp.mpc(alpha) * (op_sum - lam_mp * fn_sum)
-
-
-def ode_residual(sel: BasisSelection, index: int, c1, c2, lam, r,
-                 tol: float = 1e-20) -> float:
-    """|tau y - lambda y| at radius r for series member `index` (1-based)."""
-    return float(abs(ode_defect(sel, index, c1, c2, lam, r, tol=tol)))
+    tag, entries = _display(cls)
+    a = characteristic_exponents(cls.params.c1, cls.params.c2)
+    return BasisSelection(tag, cls, tuple(_descriptor(kind, order, negated, a)
+                                          for kind, order, negated in entries))
 
 
 # -- exact incidence identities ------------------------------------------------------

@@ -14,15 +14,8 @@ has indicial quartic
     E(c1, c2; z) = z(z-1)(z-2)(z-3) + c1 [z(z-1) + (z-2)(z-3)] + c2,
 
 and the radial family maps onto it through
-c1 = -(nu-1)(nu-3)/4,  c2 = c1^2 + c.
-
-The m = 2 characteristic exponents have closed forms
-
-    3/2 -+ (1/2) sqrt(5 - 4 c1 +- 4 sqrt(1 - 4 c1 + c1^2 - c2)),
-
-evaluated with the principal branch of the complex square root throughout
-(sqrt(r e^{i phi}) = sqrt(r) e^{i phi/2} with -pi < phi <= pi; a negative
-real radicand takes phi = pi).  They satisfy a1 + a4 = a2 + a3 = 3.
+c1 = -(nu-1)(nu-3)/4,  c2 = c1^2 + c.  Its roots, the characteristic
+exponents, have closed forms (`frobenius.characteristic_exponents`).
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import RationalPolynomial, as_fraction
-from .roots import START_BITS, trajectory_table
+from .roots import trajectory_table
 
 
 @dataclass(frozen=True)
@@ -142,74 +135,3 @@ def euler_quartic(c1, c2) -> RationalPolynomial:
     expanded: z^4 - 6z^3 + (11 + 2c1) z^2 - (6 + 6c1) z + 6c1 + c2."""
     c1, c2 = as_fraction(c1), as_fraction(c2)
     return RationalPolynomial((6 * c1 + c2, -6 - 6 * c1, 11 + 2 * c1, -6, 1))
-
-
-def _principal_sqrt_exact_real(q: Fraction, ctx):
-    """Principal square root of an exact real rational, as mpf/mpc.
-
-    Negative real input sits on the branch cut and takes phi = pi, so the
-    result is +i sqrt(|q|) exactly.
-    """
-    if q >= 0:
-        return ctx.sqrt(ctx.mpf(q.numerator) / ctx.mpf(q.denominator))
-    return ctx.mpc(0, ctx.sqrt(ctx.mpf(-q.numerator) / ctx.mpf(q.denominator)))
-
-
-def _outer_radicand_sign(s: Fraction, inner_radicand: Fraction, plus: bool) -> int:
-    """Exact sign of s +- 4*sqrt(b) for rational s and b >= 0."""
-    b16 = 16 * inner_radicand
-    s2 = s * s
-    if plus:
-        if s >= 0:
-            return 0 if (s == 0 and inner_radicand == 0) else 1
-        # s < 0: sign of 16 b - s^2
-        return (b16 > s2) - (b16 < s2)
-    if s < 0:
-        return -1
-    # s >= 0: sign of s^2 - 16 b
-    return (s2 > b16) - (s2 < b16)
-
-
-def quartic_roots_closed_form(params: EulerParams,
-                              precision_bits: int = START_BITS) -> tuple:
-    """The four characteristic exponents of the quartic family, closed form.
-
-    Returns (a1, a2, a3, a4) as mpmath complex numbers with
-    a1 + a4 = a2 + a3 = 3.  Both nested square roots use the principal
-    branch (sqrt(r e^{i phi}) = sqrt(r) e^{i phi/2}, -pi < phi <= pi), and
-    every branch decision is taken in exact rational arithmetic: the inner
-    radicand 1 - 4 c1 + c1^2 - c2 is rational, and when it is nonnegative
-    the outer radicands (5 - 4 c1) -+ 4 sqrt(inner) have exactly decidable
-    signs.  Floating point never gets to choose a branch.
-    """
-    import mpmath as mp
-
-    c1, c2 = params.c1, params.c2
-    inner_radicand = 1 - 4 * c1 + c1 * c1 - c2
-    s = 5 - 4 * c1
-    with mp.workprec(precision_bits):
-        s_mp = mp.mpf(s.numerator) / mp.mpf(s.denominator)
-        if inner_radicand >= 0:
-            inner = _principal_sqrt_exact_real(inner_radicand, mp)
-            sqrts = []
-            for plus in (True, False):
-                rad = s_mp + 4 * inner if plus else s_mp - 4 * inner
-                sign = _outer_radicand_sign(s, inner_radicand, plus)
-                if sign == 0:
-                    sqrts.append(mp.mpc(0))
-                elif sign > 0:
-                    sqrts.append(mp.mpc(mp.sqrt(rad if rad > 0 else mp.mpf(0))))
-                else:
-                    sqrts.append(mp.mpc(0, mp.sqrt(-rad if rad < 0 else mp.mpf(0))))
-            s_plus, s_minus = sqrts
-        else:
-            inner = _principal_sqrt_exact_real(inner_radicand, mp)
-            s_plus = mp.sqrt(mp.mpc(s_mp) + 4 * inner)
-            s_minus = mp.sqrt(mp.mpc(s_mp) - 4 * inner)
-        half = mp.mpf(1) / 2
-        three_half = mp.mpf(3) / 2
-        a1 = three_half - half * s_plus
-        a2 = three_half - half * s_minus
-        a3 = three_half + half * s_minus
-        a4 = three_half + half * s_plus
-        return (mp.mpc(a1), mp.mpc(a2), mp.mpc(a3), mp.mpc(a4))

@@ -8,22 +8,20 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from esacert import golden
-from esacert.esa import (esa_decide_radial, esa_region_full, esa_region_radial,
+from esacert.esa import (esa_region_full, esa_region_radial,
                          euler_esa_closed_form, gamma2_closed_form,
                          gamma3_closed_form, gamma_threshold,
                          power_zero_coupling, value_cmp, POS_INF)
 from esacert.exact import AlgebraicReal, count_real_roots, primitive_part
-from esacert.frobenius import (ode_residual, resonance_geometry_table,
-                               select_fundamental_system)
+from esacert.frobenius import resonance_geometry_table, select_fundamental_system
 from esacert.indicial import IndicialSpec, build_indicial, euler_quartic
 from esacert.roots import certified_roots
 from esacert.stability import (euler_hurwitz_matrix, halfplane_count,
                                hurwitz_assemble, quartic_classify)
 from conftest import rand_fraction
 from earlier_kernel import det_fractions
+from series_oracle import ode_residual
 
 
 def report(criterion: int, detail: str, started: float):

@@ -135,7 +135,7 @@ class TestTableCommand:
 
 class TestExactVerdictPaths:
     def test_no_numeric_root_finding(self, capsys, monkeypatch):
-        # verdicts, regions and thresholds never call the mpmath iteration
+        # verdicts, regions and thresholds never call the numeric root iteration
         from esacert import roots
 
         def numeric(*args, **kwargs):
@@ -427,47 +427,58 @@ def test_decide_loads_no_process_pool():
 
 
 def test_verdict_commands_load_no_mpmath():
-    # verdicts are exact, so decide, region and table never import mpmath
-    # (nor frobenius, which loads on first use of a basis or fig2); the
-    # conjecture table takes its comparison values in hardware floats
+    # the runtime is the standard library alone: with mpmath unimportable,
+    # decide, region, both tables and conjecture run without loading
+    # frobenius (which loads on first use of a basis or fig2), and then
+    # basis runs in both output modes
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = (
         "import sys\n"
+        "sys.modules['mpmath'] = None\n"
         "import esacert.cli\n"
         "run = esacert.cli.run\n"
         "assert run(['decide', '--m', '2', '--n', '8', '--l', '0', '--c', '0']) == 0\n"
         "assert run(['region', '--m', '2', '--n', '5', '--all-l', '--lmax', '2']) == 0\n"
         "assert run(['table', '--which', 'gamma2']) == 0\n"
+        "assert run(['table', '--which', 'signs520']) == 0\n"
         "assert run(['conjecture', '--mmax', '3']) == 0\n"
-        "print(sorted(m for m in ('mpmath', 'esacert.frobenius') if m in sys.modules))\n")
+        "loaded = 'esacert.frobenius' in sys.modules\n"
+        "assert run(['basis', '--c1', '0', '--c2', '-1', '--json']) == 0\n"
+        "assert run(['basis', '--c1', '5/4', '--c2', '-39/16']) == 0\n"
+        "print(loaded)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert '"case": "generic"' in proc.stdout
+    assert "case: line-and-parabola" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_trajectory_figures_load_no_mpmath(tmp_path):
     # certified root disks are computed in integers and hardware floats, so
-    # the trajectory figures never import mpmath either
+    # the trajectory figures run with mpmath unimportable, and so does fig2
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = (
         "import sys\n"
+        "sys.modules['mpmath'] = None\n"
         "import esacert.cli\n"
         "run = esacert.cli.run\n"
         f"out = {str(tmp_path)!r}\n"
         "assert run(['figure', '--which', 'fig3', '--steps', '3', '--out', out]) == 0\n"
         "assert run(['figure', '--which', 'fig1', '--c1', '-3', '--steps', '4',"
         " '--out', out]) == 0\n"
-        "print(sorted(m for m in ('mpmath', 'esacert.frobenius') if m in sys.modules))\n")
+        "loaded = 'esacert.frobenius' in sys.modules\n"
+        "assert run(['figure', '--which', 'fig2', '--out', out]) == 0\n"
+        "print(loaded)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-    assert len(list(tmp_path.glob("*.csv"))) == 6
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert len(list(tmp_path.glob("*.csv"))) == 8
 
 
 def test_package_resolves_frobenius_names_on_first_use():

@@ -1,6 +1,5 @@
 import functools
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +21,7 @@ from esacert.exact import AlgebraicReal, RationalPolynomial
 from esacert.indicial import IndicialSpec
 from esacert.stability import (HalfPlaneCount, HurwitzData, halfplane_count,
                                hurwitz_assemble)
-from esacert.indicial import build_indicial, euler_quartic
+from esacert.indicial import euler_quartic
 from conftest import rand_fraction
 
 
@@ -378,6 +377,57 @@ class TestEngineAgainstClosedForms:
                                                    threshold - off]:
             verdict = esa_decide_radial(IndicialSpec(2, n, l, c))
             assert verdict.is_esa == (c >= threshold), f"({n}, {l}, {c})"
+
+
+# sector bounds L with which esa_region_full(m, n, L) passes its own oracle
+# check: l = 0 binds for m = 1, and the bench certifies m = 3 up to l = 2
+# and the island up to l = 1
+_ORACLE_L = {1: 0, 3: 2, 5: 1}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_pieces(m, n):
+    """The closed-form region's pieces, after `esa_region_full(m, n, L)` has
+    matched them."""
+    assert esa_region_full(m, n, _ORACLE_L[m]).oracle_checked == "closed-form"
+    return tuple(oracle_threshold(m, n).pieces)
+
+
+@st.composite
+def _specs_near_oracle_pieces(draw):
+    """(m, n, c): m = 1, m = 3 (n <= 9 gives the surd branch of
+    gamma3_closed_form) or the (5, 20) island, and a rational c at an end of
+    a piece, a hair or a stretch to either side of it, so inside a piece,
+    between pieces and just outside them."""
+    m, n = draw(st.one_of(st.tuples(st.just(1), st.integers(2, 40)),
+                          st.tuples(st.just(3), st.integers(2, 16)),
+                          st.just((5, 20))))
+    ends = [v for piece in _oracle_pieces(m, n) for v in (piece.lo, piece.hi)
+            if v is not POS_INF]
+    end = draw(st.sampled_from(ends))
+    side = draw(st.sampled_from((-1, 1)))
+    if draw(st.booleans()):
+        step = F(1, 10 ** draw(st.integers(1, 40)))       # a hair
+    else:
+        step = draw(st.fractions(min_value=F(1, 1000), max_value=2,
+                                 max_denominator=1000)) * max(1, round(abs(float(end))))
+    if isinstance(end, AlgebraicReal):
+        lo, hi = end.refine(step)
+        return m, n, hi if side > 0 else lo
+    return m, n, end + side * step * draw(st.sampled_from((0, 1)))
+
+
+class TestEngineAgainstOracleThreshold:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_specs_near_oracle_pieces())
+    def test_sector_verdicts_match_the_closed_form_region(self, spec):
+        m, n, c = spec
+        engine = all(esa_decide_radial(IndicialSpec(m, n, l, c),
+                                       with_certificate=False).is_esa
+                     for l in range(_ORACLE_L[m] + 1))
+        region = EsaRegion(m=m, n=n, pieces=list(_oracle_pieces(m, n)),
+                           boundary_candidates=[])
+        assert engine == region.contains(c), (m, n, c)
 
 
 class TestMonotoneBinding:

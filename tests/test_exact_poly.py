@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction as F
 
 import pytest

@@ -1,18 +1,30 @@
-import math
-import random
+import json
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from esacert.frobenius import (Branch, CaseTag, ResonanceError, SolutionKind,
-                               classify_resonance, eval_0F3, line_c2,
-                               line_pivot, locus_samples, ode_defect,
-                               ode_residual, parabola_c2, parabola_pivot,
-                               resonance_geometry_table,
+from esacert.frobenius import (Branch, CaseTag, SolutionKind,
+                               characteristic_exponents, classify_resonance,
+                               line_c2, line_pivot, locus_samples, parabola_c2,
+                               parabola_pivot, resonance_geometry_table,
                                select_fundamental_system)
-from esacert.indicial import EulerParams, quartic_roots_closed_form
+from esacert.indicial import EulerParams, euler_quartic
 from conftest import rand_fraction
+from series_oracle import (ResonanceError, basis_payload, eval_0F3, ode_defect,
+                           ode_residual, quartic_roots_closed_form)
+
+
+def _double(z) -> complex:
+    """An exponent (re, im) of `characteristic_exponents`, as a double."""
+    return complex(float(z[0]), float(z[1]))
+
+
+def _diff(a, i, j):
+    """a_i - a_j (0-based) as an exact pair."""
+    return a[i][0] - a[j][0], a[i][1] - a[j][1]
 
 
 class TestClassification:
@@ -25,7 +37,7 @@ class TestClassification:
         mem = cls.parabolas[0]
         assert mem.k == 0 and mem.branch is Branch.LOWER
         assert mem.relations == ((1, 2), (3, 4))
-        a = quartic_roots_closed_form(EulerParams(F(0), F(1)))
+        a = characteristic_exponents(F(0), F(1))
         assert a[0] == a[1] and a[2] == a[3]
 
     def test_line_point(self):
@@ -36,7 +48,7 @@ class TestClassification:
         mem = cls.lines[0]
         assert mem.k == 0 and mem.branch is Branch.LOWER
         assert mem.relations == ((2, 3),)
-        a = quartic_roots_closed_form(EulerParams(F(0), F(-9, 16)))
+        a = characteristic_exponents(F(0), F(-9, 16))
         assert a[1] == a[2]
 
     def test_generic_point(self):
@@ -53,24 +65,29 @@ class TestClassification:
             assert any(m.k == k for m in on_par.parabolas)
 
     def test_branch_relations_match_closed_forms(self, rng):
-        # the asserted exponent-difference relations hold numerically at
-        # random points of every locus with k <= 5
+        # the asserted exponent-difference relations hold at random points of
+        # every locus with k <= 5, for the exact exponents and for 192-bit
+        # mpmath
         checked = 0
-        with mp.workprec(160):
-            eps = mp.mpf(2) ** -120
-            for k in range(6):
-                for _ in range(20):
-                    c1 = rand_fraction(rng, -40, 12, 8)
-                    for kind, c2 in (("line", line_c2(c1, k)),
-                                     ("parabola", parabola_c2(c1, k))):
-                        cls = classify_resonance(c1, c2)
-                        mems = cls.lines if kind == "line" else cls.parabolas
-                        mem = next(m for m in mems if m.k == k)
-                        a = quartic_roots_closed_form(
-                            EulerParams(c1, c2), precision_bits=192)
-                        for i, j in mem.relations:
-                            assert abs((a[i - 1] - a[j - 1]) - (-4 * k)) < eps
-                        checked += 1
+        eps = F(1, 2 ** 120)
+        for k in range(6):
+            for _ in range(20):
+                c1 = rand_fraction(rng, -40, 12, 8)
+                for kind, c2 in (("line", line_c2(c1, k)),
+                                 ("parabola", parabola_c2(c1, k))):
+                    cls = classify_resonance(c1, c2)
+                    mems = cls.lines if kind == "line" else cls.parabolas
+                    mem = next(m for m in mems if m.k == k)
+                    a = characteristic_exponents(c1, c2)
+                    hi = quartic_roots_closed_form(EulerParams(c1, c2),
+                                                   precision_bits=192)
+                    for i, j in mem.relations:
+                        re, im = _diff(a, i - 1, j - 1)
+                        assert abs(re + 4 * k) < eps and abs(im) < eps
+                        with mp.workprec(160):
+                            assert (abs((hi[i - 1] - hi[j - 1]) - (-4 * k))
+                                    < mp.mpf(2) ** -120)
+                    checked += 1
         assert checked == 6 * 20 * 2
 
     def test_off_locus_no_resonant_differences(self, rng):
@@ -82,12 +99,12 @@ class TestClassification:
             if not cls.generic:
                 continue
             count += 1
-            a = quartic_roots_closed_form(EulerParams(c1, c2))
+            a = characteristic_exponents(c1, c2)
             for i in range(4):
                 for j in range(4):
                     if i == j:
                         continue
-                    d = complex(a[i] - a[j]) / 4
+                    d = _double(_diff(a, i, j)) / 4
                     if abs(d.imag) < 1e-20:
                         near = round(d.real)
                         if near <= 0:
@@ -140,9 +157,9 @@ class TestCaseSelection:
                          SolutionKind.SERIES_F03, SolutionKind.SERIES_F03]
         g = sel.solutions[1]
         # resonant middle pair leads the G parameters
-        a = quartic_roots_closed_form(EulerParams(F(0), F(-9, 16)))
-        assert abs(g.parameters[0] - complex(a[1]) / 4) < 1e-12
-        assert abs(g.parameters[1] - complex(a[2]) / 4) < 1e-12
+        a = characteristic_exponents(F(0), F(-9, 16))
+        assert abs(g.parameters[0] - _double(a[1]) / 4) < 1e-12
+        assert abs(g.parameters[1] - _double(a[2]) / 4) < 1e-12
 
     def test_mixed_case_kinds_and_argument_sign(self):
         sel = select_fundamental_system(F(5, 4), F(-39, 16))
@@ -159,7 +176,8 @@ class TestCaseSelection:
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    p = complex(1 + (a[i] - a[j]) / 4)
+                    re, im = _diff(a, i, j)
+                    p = complex(1 + float(re) / 4, float(im) / 4)
                     if abs(p.imag) < 1e-18 and abs(p.real - round(p.real)) < 1e-18 \
                             and round(p.real) <= bound:
                         hits += 1
@@ -170,14 +188,14 @@ class TestCaseSelection:
         for _ in range(12):
             k = rng.randint(1, 3)
             c1 = rand_fraction(rng, -20, 8, 5)
-            a = quartic_roots_closed_form(EulerParams(c1, line_c2(c1, k)))
+            a = characteristic_exponents(c1, line_c2(c1, k))
             assert self._integer_param_hits(a, bound=0) >= 1
 
     def test_zero_resonance_order_duplicates_an_exponent(self, rng):
         # k = 0 memberships give a parameter exactly 1 (coincident exponents)
         for _ in range(8):
             c1 = rand_fraction(rng, -20, 0, 5)
-            a = quartic_roots_closed_form(EulerParams(c1, parabola_c2(c1, 0)))
+            a = characteristic_exponents(c1, parabola_c2(c1, 0))
             assert self._integer_param_hits(a, bound=1) >= 1
             assert self._integer_param_hits(a, bound=0) == 0
 
@@ -190,7 +208,7 @@ class TestCaseSelection:
             if not classify_resonance(c1, c2).generic:
                 continue
             done += 1
-            a = quartic_roots_closed_form(EulerParams(c1, c2))
+            a = characteristic_exponents(c1, c2)
             assert self._integer_param_hits(a, bound=1) == 0
 
 
@@ -344,7 +362,8 @@ class TestDisplayRule:
             return
         cls = sel.classification
         rels = [r for m in cls.lines + cls.parabolas for r in m.relations]
-        a = [complex(x) / 4 for x in quartic_roots_closed_form(cls.params)]
+        a = [complex(float(re) / 4, float(im) / 4)
+             for re, im in characteristic_exponents(cls.params.c1, cls.params.c2)]
         heads = {i for i, _ in rels}
         for pos, s in enumerate(sel.solutions, start=1):
             assert (s.kind is SolutionKind.MEIJER_G20) == (pos in heads)
@@ -356,10 +375,10 @@ class TestDisplayRule:
     def test_series_member_at_i_has_exponent_a_i(self, c1, c2):
         # `ode_defect` reads the exponent of member i as a_i
         sel = select_fundamental_system(c1, c2)
-        a = quartic_roots_closed_form(sel.classification.params)
+        a = characteristic_exponents(c1, c2)
         for i, s in enumerate(sel.solutions, start=1):
             if s.kind is SolutionKind.SERIES_F03:
-                assert s.exponent == complex(a[i - 1])
+                assert s.exponent == _double(a[i - 1])
 
     def test_p0_above_pivot_prints_the_lower_display(self):
         above = select_fundamental_system(F(2), F(-3))
@@ -401,3 +420,129 @@ class TestParabolaPairIdentity:
         assert len(rows) == 6 * 5
         assert all(g.holds for g in rows)
         assert "P_1 meets P_3 on L_2 and L_4" in {g.description for g in rows}
+
+
+# -- the standard-library exponents against the mpmath oracle ------------------------
+
+
+def _on_imaginary_axis(c1, c2) -> bool:
+    """Whether the indicial quartic has a root with real part exactly 0:
+    E(0) = 6 c1 + c2 = 0, or E(+-iy) = 0, which needs y^2 = 1 + c1 > 0 (the
+    imaginary part of E(iy)) and y^4 - (11 + 2 c1) y^2 + 6 c1 + c2 = 0."""
+    y2 = 1 + c1
+    return 6 * c1 + c2 == 0 or (y2 > 0 and
+                                y2 * y2 - (11 + 2 * c1) * y2 + 6 * c1 + c2 == 0)
+
+
+def _oracle_json(c1, c2) -> str:
+    """`series_oracle.basis_payload` as `basis` prints it.  Where the quartic
+    has a root on the imaginary axis, a value below 2^-100, which 128-bit
+    mpmath can leave as the residue of an exact zero real part, reads 0.0."""
+    payload = basis_payload(c1, c2)
+    if _on_imaginary_axis(F(c1), F(c2)):
+        for sol in payload["solutions"]:
+            for pair in [sol["exponent"]] + sol["parameters"]:
+                pair[:] = [0.0 if abs(v) < 2.0 ** -100 else v for v in pair]
+    return json.dumps(payload)
+
+
+_RATIONAL = st.fractions(min_value=-40, max_value=40, max_denominator=10 ** 6)
+
+
+@st.composite
+def _basis_points(draw):
+    """Rational (c1, c2): off every locus, on one locus on either side of its
+    pivot, at line-line and line-parabola crossings, and with a root on the
+    imaginary axis."""
+    kind = draw(st.sampled_from(("generic", "line", "parabola", "two-lines",
+                                 "line-and-parabola", "zero-root", "axis-pair")))
+    c1 = draw(_RATIONAL)
+    h, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if kind == "generic":
+        return c1, draw(_RATIONAL)
+    if kind == "line":
+        c1 = line_pivot(k) + c1 / 2
+        return c1, line_c2(c1, k)
+    if kind == "parabola":
+        c1 = parabola_pivot(k) + c1 / 2
+        return c1, parabola_c2(c1, k)
+    if kind == "two-lines":
+        c1 = F(5, 4) - 2 * h * h - 2 * (h + k + 1) ** 2
+        return c1, line_c2(c1, h)
+    if kind == "line-and-parabola":
+        c1 = F(5, 4) - 4 * h * h + draw(st.sampled_from((8, -8))) * h * k - 8 * k * k
+        return c1, line_c2(c1, h)
+    if kind == "zero-root":
+        return c1, -6 * c1
+    c1 = abs(c1)     # roots +-i sqrt(1 + c1)
+    y2 = 1 + c1
+    return c1, (11 + 2 * c1) * y2 - y2 * y2 - 6 * c1
+
+
+class TestBasisAgainstMpmath:
+    def test_locus_samples_byte_identical(self):
+        for _kind, _k, c1, c2, _flag in locus_samples():
+            got = json.dumps(select_fundamental_system(c1, c2).to_json())
+            assert got == json.dumps(basis_payload(c1, c2)), (c1, c2)
+
+    def test_hypothesis_points_byte_identical(self):
+        tags = set()
+
+        @settings(max_examples=350, deadline=None, derandomize=True,
+                  database=None)
+        @given(_basis_points())
+        def check(point):
+            c1, c2 = point
+            sel = select_fundamental_system(c1, c2)
+            assert json.dumps(sel.to_json()) == _oracle_json(c1, c2)
+            tags.add(sel.case_tag)
+
+        check()
+        assert tags == set(CaseTag)
+
+    def test_exact_zero_exponent_prints_zero(self):
+        # z = 0 solves the quartic when c2 = -6 c1; 128-bit mpmath leaves
+        # a residue of 2^-127 there, the exact exponent is 0
+        c1 = F(-364047, 40796)
+        a = characteristic_exponents(c1, -6 * c1)
+        assert a[1] == (0, 0)
+        sel = select_fundamental_system(c1, -6 * c1)
+        assert sel.solutions[1].exponent == 0
+        assert sel.to_json()["solutions"][1]["exponent"] == [0.0, 0.0]
+        hi = quartic_roots_closed_form(EulerParams(c1, -6 * c1))
+        assert 0 < abs(complex(hi[1])) < 2.0 ** -100
+
+    def test_imaginary_axis_roots_exact(self):
+        # at (c1, 10 + 3 c1 - c1^2), y^2 = 1 + c1, the roots +-i y have real
+        # part exactly 0
+        for c1 in (F(3), F(1, 3), F(5, 7)):
+            y2 = 1 + c1
+            c2 = (11 + 2 * c1) * y2 - y2 * y2 - 6 * c1
+            assert _on_imaginary_axis(c1, c2)
+            a = characteristic_exponents(c1, c2)
+            on_axis = [z for z in a if z[0] == 0]
+            assert len(on_axis) == 2
+            assert all(abs(z[1] ** 2 - y2) < F(1, 2 ** 190) for z in on_axis)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_basis_points())
+    def test_within_2_to_minus_180_of_256_bit_mpmath(self, point):
+        c1, c2 = point
+        a = characteristic_exponents(c1, c2)
+        hi = quartic_roots_closed_form(EulerParams(c1, c2), precision_bits=256)
+        with mp.workprec(256):
+            for (re, im), w in zip(a, hi):
+                err = abs(mp.mpc(mp.mpf(re.numerator) / re.denominator,
+                                 mp.mpf(im.numerator) / im.denominator) - w)
+                assert err < mp.mpf(2) ** -180 * (1 + abs(w))
+
+    def test_roots_of_the_quartic(self):
+        # each exponent nearly annuls E in exact complex Fraction arithmetic
+        for c1, c2 in ((F(0), F(-1)), (F(1, 3), F(1, 5)), (F(-7, 2), F(40)),
+                       (F(3, 2), F(79, 4)), (F(2), F(-3))):
+            coeffs = euler_quartic(c1, c2).descending()
+            for re, im in characteristic_exponents(c1, c2):
+                vr, vi = F(0), F(0)
+                for c in coeffs:
+                    vr, vi = vr * re - vi * im + c, vr * im + vi * re
+                assert abs(vr) + abs(vi) < F(1, 2 ** 180)

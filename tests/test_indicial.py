@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -8,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esacert.exact import RationalPolynomial
+from esacert.frobenius import characteristic_exponents
 from esacert.indicial import (EulerParams, IndicialSpec, build_indicial,
                               euler_params, euler_quartic, indicial_base,
-                              indicial_product, quartic_roots_closed_form)
+                              indicial_product)
 from esacert.roots import certified_roots
+from series_oracle import _mpf_of, quartic_roots_closed_form
 import earlier_kernel
 from conftest import rand_fraction
 
@@ -133,37 +134,40 @@ class TestEulerParams:
 
 
 class TestClosedFormRoots:
+    # `frobenius.characteristic_exponents`, against 128-bit mpmath
+    # (`series_oracle.quartic_roots_closed_form`) and certified root disks
+
     def test_unit_exponents(self):
-        a = quartic_roots_closed_form(EulerParams(F(0), F(0)))
-        assert [complex(x) for x in a] == [0, 1, 2, 3]
+        a = characteristic_exponents(F(0), F(0))
+        assert a == ((0, 0), (1, 0), (2, 0), (3, 0))
+        assert [complex(x) for x in quartic_roots_closed_form(
+            EulerParams(F(0), F(0)))] == [0, 1, 2, 3]
 
     def test_double_roots_on_inner_cut(self):
         # inner radicand vanishes at (0, 1): exponents (3 +- sqrt5)/2, doubled
-        a = quartic_roots_closed_form(EulerParams(F(0), F(1)))
+        a = characteristic_exponents(F(0), F(1))
         assert a[0] == a[1] and a[2] == a[3]
         with mp.workprec(128):
             lo = (3 - mp.sqrt(5)) / 2
             hi = (3 + mp.sqrt(5)) / 2
-            assert abs(a[0] - lo) < mp.mpf(2) ** -100
-            assert abs(a[2] - hi) < mp.mpf(2) ** -100
+            assert abs(_mpf_of(a[0][0]) - lo) < mp.mpf(2) ** -100
+            assert abs(_mpf_of(a[2][0]) - hi) < mp.mpf(2) ** -100
+            assert a[0][1] == a[2][1] == 0
 
     def test_pair_sums_exact(self, rng):
-        with mp.workprec(128):
-            eps = mp.mpf(2) ** -100
-            for _ in range(40):
-                c1 = rand_fraction(rng)
-                c2 = rand_fraction(rng)
-                a = quartic_roots_closed_form(EulerParams(c1, c2))
-                assert abs(a[0] + a[3] - 3) < eps
-                assert abs(a[1] + a[2] - 3) < eps
+        for _ in range(40):
+            c1 = rand_fraction(rng)
+            c2 = rand_fraction(rng)
+            a = characteristic_exponents(c1, c2)
+            assert (a[0][0] + a[3][0], a[0][1] + a[3][1]) == (3, 0)
+            assert (a[1][0] + a[2][0], a[1][1] + a[2][1]) == (3, 0)
 
     def test_ordering_re_a1_le_re_a2_le_three_halves(self, rng):
         for _ in range(40):
             c1 = rand_fraction(rng)
             c2 = rand_fraction(rng)
-            a = quartic_roots_closed_form(EulerParams(c1, c2))
-            assert float(a[0].real) <= float(a[1].real) + 1e-12
-            assert float(a[1].real) <= 1.5 + 1e-12
+            a = characteristic_exponents(c1, c2)
+            assert a[0][0] <= a[1][0] <= F(3, 2)
 
     def test_matches_certified_roots(self, rng):
         # closed-form multiset vs certified disks under the parameter map:
@@ -171,14 +175,14 @@ class TestClosedFormRoots:
         for _ in range(25):
             c1 = rand_fraction(rng, -10, 10, 6)
             c2 = rand_fraction(rng, -10, 10, 6)
-            closed = list(quartic_roots_closed_form(EulerParams(c1, c2)))
+            closed = characteristic_exponents(c1, c2)
             rs = certified_roots(euler_quartic(c1, c2))
             assigned = 0
             for d in rs.roots:
                 inside = sum(
-                    1 for w in closed
-                    if math.hypot(float(w.real) - float(d.re),
-                                  float(w.imag) - float(d.im))
+                    1 for re, im in closed
+                    if math.hypot(float(re) - float(d.re),
+                                  float(im) - float(d.im))
                     <= float(d.radius) + 1e-25)
                 assert inside == d.multiplicity
                 assigned += inside
@@ -187,6 +191,8 @@ class TestClosedFormRoots:
     def test_boundary_point_real_part_on_decision_line(self):
         # dimension-2 threshold: at (c1, c2) = (1/4, 1/16 + 48) the middle
         # exponent pair sits exactly on the decision line
-        a = quartic_roots_closed_form(EulerParams(F(1, 4), F(1, 16) + 48))
-        assert float(a[1].real) == pytest.approx(-0.5, abs=1e-25)
-        assert float(a[2].real) == pytest.approx(3.5, abs=1e-25)
+        a = characteristic_exponents(F(1, 4), F(1, 16) + 48)
+        assert a[1][0] == F(-1, 2) and a[2][0] == F(7, 2)
+        hi = quartic_roots_closed_form(EulerParams(F(1, 4), F(1, 16) + 48))
+        assert float(hi[1].real) == pytest.approx(-0.5, abs=1e-25)
+        assert float(hi[2].real) == pytest.approx(3.5, abs=1e-25)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 import sys
 from fractions import Fraction as F
 
@@ -20,8 +19,7 @@ from esacert.roots import (MAX_BITS, START_BITS, CertifiedRoot, OrderedRootSet,
                            _certify, _even_about_centroid, _float_seeds,
                            _min_cost_assignment, _pairwise_disjoint,
                            _rational_roots_in_disks, _split, _sqrt_upper_pow2,
-                           certified_roots, label_trajectories,
-                           real_part_position, trajectory_table)
+                           certified_roots, real_part_position, trajectory_table)
 from esacert.stability import hurwitz_assemble
 from conftest import rand_fraction, rand_poly, real_root_count
 

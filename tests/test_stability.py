@@ -1,5 +1,4 @@
 import dataclasses
-import random
 from fractions import Fraction as F
 
 import pytest
