@@ -29,7 +29,7 @@ from .esa import (CONJECTURE_M_CAP, L_MAX, _hurwitz_cached, conjecture_explore,
                   euler_esa_closed_form, gamma_threshold, render_value,
                   value_to_json)
 from .indicial import IndicialSpec, euler_quartic, root_trajectories
-from .roots import START_BITS, trajectory_csv_rows, trajectory_table
+from .roots import trajectory_csv_rows, trajectory_table
 from .stability import quartic_classify
 
 EXIT_OK = 0
@@ -83,7 +83,6 @@ def _envelope(args_echo, spec: dict, result: dict, l_max=None,
         "spec": spec,
         "result": result,
         "certification": {
-            "precision_bits": START_BITS,
             "l_max": l_max,
             "oracle_crosscheck": oracle,
         },

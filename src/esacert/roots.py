@@ -13,26 +13,30 @@ any other p takes them itself, factor by factor, with no halving.
    and reported with radius zero (on G, y = (x - a)^2 gives a +- |x - a|);
 2. each factor f is handed to an Aberth-Ehrlich simultaneous
    iteration from deterministic Newton-polygon initial points, run first in
-   hardware floats and polished on dyadic iterates at the working precision
-   (from the initial points themselves at escalated precision, or when the
-   floats fail).  A dyadic step takes f/f' exactly by integer Horner and
-   only the repulsion sum in floats, from the exact iterate differences;
-   each iterate is rounded to the working precision relative to its
-   modulus.  If f(a + w) = g(w^2), the iteration runs on g and each root y
-   of g gives the two centers a +- sqrt(y), the square root taken by
-   `math.isqrt` and the sum with a exactly; the iterates of g nearest the
-   real axis, as many as g has real roots, are made real, so their centers
-   lie on the real axis (y > 0) or on the line Re z = a (y < 0);
+   hardware floats.  At FLOAT_BITS the float iterates are the candidates as
+   they are; at START_BITS they are polished on dyadic iterates at the
+   working precision (from the initial points themselves at escalated
+   precision, or when the floats overflow or collide).  A dyadic step
+   takes f/f' exactly by integer Horner and only the repulsion sum in
+   floats, from the exact iterate differences; each iterate is rounded to
+   the working precision relative to its modulus.  If f(a + w) = g(w^2),
+   the iteration runs on g and each root y of g gives the two centers
+   a +- sqrt(y), the square root taken by `math.isqrt` and the sum with a
+   exactly; the iterates of g nearest the real axis, as many as g has real
+   roots, are made real, so their centers lie on the real axis (y > 0) or
+   on the line Re z = a (y < 0);
 3. every candidate center is certified on f itself by the exact bound
    |x - nearest root| <= deg * |f(x)| / |f'(x)|, evaluated in integer
    arithmetic at the rational center (the iteration supplies candidates
    only, never the certificate); the centers a +- t share one evaluation,
    since |f(a + t)| = |f(a - t)| and |f'(a + t)| = |f'(a - t)|;
-4. precision doubles from START_BITS up to MAX_BITS until all disks are
-   pairwise disjoint (compared in integers over the common denominator),
-   in which case each disk provably contains exactly one root.  A disk
-   centred on the real axis (or on Re z = a) then holds a real root (one
-   on that line): the mirror image of its root is a root in the same disk.
+4. precision rises until all disks are pairwise disjoint (compared in
+   integers over the common denominator), in which case each disk provably
+   contains exactly one root: from FLOAT_BITS, where `trajectory_table`
+   starts, to START_BITS, where every other caller starts, and from there
+   by doubling up to MAX_BITS.  A disk centred on the real axis (or on
+   Re z = a) then holds a real root (one on that line): the mirror image
+   of its root is a root in the same disk.
    The rational roots of each factor are then found exactly on the shadows
    of its disks that meet the real axis (`_rational_roots_in_disks`); if
    there are any, they are divided out (step 1) and steps 2-4 run again
@@ -48,6 +52,7 @@ verdict is taken from them.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +63,8 @@ from .exact import (RationalPolynomial, as_fraction, count_real_roots,
 from .exact.poly import (_chain_variations_at_inf, _decompose, _sign_at,
                          primitive_coeffs)
 
-START_BITS = 128   # first working precision of every numeric root computation
+FLOAT_BITS = 53    # the hardware-float rung below START_BITS (trajectory_table)
+START_BITS = 128   # first dyadic working precision, and the default one
 MAX_BITS = 4096    # certified_roots gives up beyond this precision
 FLOAT_TOL = 2.0 ** -45  # relative step at which the float iteration stops
 
@@ -380,27 +386,31 @@ def _dyadic_step(i: int, z: list, desc: Sequence[int], bits: int,
     return _log2_abs(step) + tol_bits >= _log2_one_plus(_log2_abs(z[i]))
 
 
-def _aberth(coeffs: Sequence[Fraction], prec_bits: int, steps: int) -> list:
+def _aberth(coeffs: Sequence[Fraction], prec_bits: int, steps: int):
     """Aberth-Ehrlich candidates for a square-free polynomial (ascending coeffs),
     after at most `steps` sweeps.
 
-    The iteration starts from the Newton-polygon points.  At START_BITS it
-    first runs in hardware floats, and the dyadic sweeps (`_dyadic_step`)
-    only polish its result; at escalated precision, or when the floats
-    overflow or two iterates collide, the dyadic sweeps start from the
-    points themselves.  Each iterate is kept to `prec_bits` bits relative
-    to its modulus, so a part below that is zero.
+    The iteration starts from the Newton-polygon points and runs first in
+    hardware floats at FLOAT_BITS and START_BITS.  At FLOAT_BITS its
+    iterates are the candidates as they are, or None when the floats
+    overflow or two iterates collide; at START_BITS the dyadic sweeps
+    (`_dyadic_step`) only polish them.  At escalated precision, or when the
+    floats fail, the dyadic sweeps start from the points themselves.  Each
+    iterate is kept to `prec_bits` bits relative to its modulus, so a part
+    below that is zero.
     """
     d = len(coeffs) - 1
     logs = _initial_log_radii(coeffs)
     angles = [2 * math.pi * k / d + 0.7 for k in range(d)]
     seeds = None
-    if prec_bits == START_BITS:
+    if prec_bits in (FLOAT_BITS, START_BITS):
         try:
             start = [math.exp(t) * cmath.exp(1j * phi) for t, phi in zip(logs, angles)]
         except OverflowError:
             start = None
         seeds = start and _float_seeds(coeffs, start, steps)
+        if prec_bits == FLOAT_BITS:
+            return seeds and [_fractions(_from_complex(w)) for w in seeds]
     if seeds:
         z = [_from_complex(w) for w in seeds]
     else:
@@ -532,8 +542,9 @@ def _split(p: RationalPolynomial, known=frozenset()) -> tuple:
     return exact, numeric
 
 
-def _centers(job: _NumericFactor, prec_bits: int) -> list:
-    """Candidate centers for the roots of job.f.
+def _centers(job: _NumericFactor, prec_bits: int):
+    """Candidate centers for the roots of job.f, or None where `_aberth`
+    gives none (the floats failed at FLOAT_BITS).
 
     With a centre a, Aberth runs on g at half the degree and each root y of
     g gives a +- sqrt(y), the square root taken by `_sqrt` in integers and
@@ -547,6 +558,8 @@ def _centers(job: _NumericFactor, prec_bits: int) -> list:
     if job.a is None:
         return _aberth(job.f.coeffs, prec_bits, steps)
     ys = _aberth(job.g.coeffs, prec_bits, steps)
+    if ys is None:
+        return None
     # g has `real` real roots, and its iterates nearest the axis are those
     for k in sorted(range(len(ys)), key=lambda k: abs(ys[k][1]))[:job.real]:
         ys[k] = (ys[k][0], Fraction(0))
@@ -600,14 +613,17 @@ def _pairwise_disjoint(disks: list) -> bool:
 
 def _enclose(exact_roots: list, numeric: list, prec: int, degree: int) -> tuple:
     """(the disks (re, im, radius) of each numeric factor, the precision):
-    the working precision starts at `prec` and doubles until these disks
-    and the exact roots are pairwise disjoint; PrecisionExceededError past
+    the working precision starts at `prec` and goes up until these disks
+    and the exact roots are pairwise disjoint, from FLOAT_BITS to
+    START_BITS and from there by doubling; PrecisionExceededError past
     MAX_BITS."""
     points = [(r, Fraction(0), Fraction(0)) for r, _ in exact_roots]
     while True:
         disks = []
         for job in numeric:
             centers = _centers(job, prec)
+            if centers is None:
+                break
             radii = _certify(job.f, centers, paired=job.a is not None)
             if radii is None:
                 break
@@ -619,7 +635,7 @@ def _enclose(exact_roots: list, numeric: list, prec: int, degree: int) -> tuple:
             raise PrecisionExceededError(
                 f"root disks not separated at {prec} bits "
                 f"(degree {degree}); inputs may have clustered roots")
-        prec *= 2
+        prec = START_BITS if prec == FLOAT_BITS else 2 * prec
 
 
 def _rational_roots_in_disks(f: RationalPolynomial, disks: list) -> list:
@@ -656,8 +672,15 @@ def certified_roots(p: RationalPolynomial,
     """All complex roots of p as certified disks covering every root.
 
     The working precision starts at `precision_bits` and doubles until the
-    disks are pairwise disjoint.  Raises PrecisionExceededError if that is
-    not reached by MAX_BITS (never returns silently inexact output).
+    disks are pairwise disjoint.  At FLOAT_BITS the candidates are the
+    hardware-float Aberth iterates as they are, certified like any others;
+    when those disks do not separate, or the floats overflow or collide,
+    the precision goes on to START_BITS.  The default START_BITS skips
+    that rung.  `precision_bits` of the result is the rung at which the
+    disks separated, and the radii are the bounds certified there: about
+    2^-FLOAT_BITS relative to a root at the float rung.  Raises
+    PrecisionExceededError if the disks do not separate by MAX_BITS
+    (never returns silently inexact output).
     Rational roots are found exactly and carry radius zero: once the disks
     are disjoint, the rational roots of each numeric factor are read off
     the disks that meet the real axis (`_rational_roots_in_disks`).  If
@@ -746,12 +769,19 @@ def trajectory_table(poly_family: Callable[[Fraction], RationalPolynomial],
     ``map``, which returns them in grid order.  Pass an executor's ``map`` to
     spread them over worker processes.  The labeling pass is sequential by
     construction.
+
+    The root sets start at FLOAT_BITS: the rows print their coordinates as
+    doubles, so the disks need to separate only at the precision that prints.
+    A grid point whose float disks do not separate goes on to START_BITS
+    and up.
     """
     grid = [as_fraction(c) for c in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     polys = [poly_family(c) for c in grid]
-    return label_trajectories(grid, list(map(certified_roots, polys)))
+    # a partial of the module-level function pickles for worker processes
+    at_float = functools.partial(certified_roots, precision_bits=FLOAT_BITS)
+    return label_trajectories(grid, list(map(at_float, polys)))
 
 
 def _min_cost_assignment(cost: Sequence[Sequence[float]]) -> list:

@@ -51,11 +51,9 @@ ENVELOPE_SCHEMA = {
         "certification": {
             "type": "object",
             "properties": {
-                "precision_bits": {"type": "integer"},
                 "l_max": {"type": ["integer", "null"]},
                 "oracle_crosscheck": {"type": ["string", "null"]},
             },
-            "required": ["precision_bits"],
         },
     },
     "required": ["command", "spec", "result", "certification"],

@@ -314,6 +314,18 @@ class TestNoConfigFile:
         assert payload["result"]["certified_up_to_l"] == 50
 
 
+@pytest.mark.parametrize("argv", (
+    ["decide", "--m", "2", "--n", "8", "--c", "0"],
+    ["region", "--m", "2", "--n", "5", "--all-l", "--lmax", "3"],
+    ["basis", "--c1", "0", "--c2", "-1"],
+    ["conjecture", "--mmax", "2"],
+))
+def test_envelope_certifies_no_working_precision(capsys, argv):
+    # no JSON payload computes a root disk, so none states a precision
+    _, out, _ = invoke(capsys, argv + ["--json"])
+    assert set(json.loads(out)["certification"]) == {"l_max", "oracle_crosscheck"}
+
+
 @pytest.mark.parametrize("argv,code", (
     (["decide", "--m", "2", "--n", "8", "--c", "0"], 0),
     (["decide", "--m", "2", "--n", "7", "--c", "0"], 10),

@@ -838,3 +838,169 @@ class TestPolyrootsOracle:
         assert lo.re == -hi.re and lo.radius == hi.radius
         assert (hi.re - hi.radius) ** 2 <= 2 * 10 ** 400 <= (hi.re + hi.radius) ** 2
         assert hi.radius < hi.re / 2 ** 100
+
+
+def _recording_map(root_sets):
+    """A map for `trajectory_table` that also keeps the root sets it returns."""
+    def record(fn, polys):
+        out = list(map(fn, polys))
+        root_sets.extend(out)
+        return out
+    return record
+
+
+def _even_family(draw):
+    """G0((z - a)^2) + c * G1((z - a)^2), even about a at every c."""
+    a = draw(_small)
+    g0 = draw(st.lists(_small, min_size=1, max_size=3)) + [F(1)]
+    g1 = draw(st.lists(_small, min_size=1, max_size=len(g0) - 1))
+    w2 = (Z - a) ** 2
+
+    def compose(gs):
+        out = RationalPolynomial.zero()
+        for g in reversed(gs):
+            out = out * w2 + g
+        return out
+
+    p0, p1 = compose(g0), compose(g1)
+    return lambda c: p0 + p1 * c
+
+
+@st.composite
+def real_families(draw):
+    """(family, grid): a real one-parameter family of constant degree, even
+    about its centroid, generic, or with a fixed and a moving rational root,
+    over 2 to 5 random grid points or 2 to 6 evenly spaced close ones."""
+    kind = draw(st.sampled_from(("even", "generic", "rational")))
+    if kind == "even":
+        family = _even_family(draw)
+    elif kind == "generic":
+        p0 = RationalPolynomial(draw(st.lists(_small, min_size=2, max_size=6))
+                                + [draw(_positive)])
+        p1 = RationalPolynomial(draw(st.lists(_small, min_size=1,
+                                              max_size=p0.degree)))
+
+        def family(c):
+            return p0 + p1 * c
+    else:
+        r, s = draw(_small), draw(_small)
+        q0 = RationalPolynomial(draw(st.lists(_small, min_size=1, max_size=4))
+                                + [F(1)])
+        q1 = RationalPolynomial(draw(st.lists(_small, min_size=1,
+                                              max_size=q0.degree)))
+
+        def family(c):
+            return (Z - r - c) * (Z - s) * (q0 + q1 * c)
+    if draw(st.booleans()):
+        grid = sorted(draw(st.lists(st.fractions(-4, 4, max_denominator=5),
+                                    min_size=2, max_size=5, unique=True)))
+    else:   # a fine grid, on which labels follow the roots further
+        start = draw(st.fractions(-4, 4, max_denominator=5))
+        step = draw(st.fractions(F(1, 100), F(1, 4), max_denominator=100))
+        grid = [start + k * step for k in range(draw(st.integers(2, 6)))]
+    return family, grid
+
+
+def _sort_decided(rows, c) -> bool:
+    """Whether sorting the disks of the rows at c by (re, im) orders their
+    roots alike in every run, up to the order within a conjugate pair: any
+    two disks whose shadows on the real axis meet have centres with equal
+    real parts or are the mirror images of each other."""
+    pts = [pt for pt in rows if pt.c == c]
+    return all(p.re == q.re or _overlap((p.re, -p.im, p.radius),
+                                        (q.re, q.im, q.radius))
+               for p, q in itertools.combinations(pts, 2)
+               if abs(p.re - q.re) <= p.radius + q.radius)
+
+
+class TestFloatRung:
+    def test_separated_points_report_the_float_rung(self):
+        sets = []
+        root_trajectories(5, 20, 0, [F(0), F(5 * 10 ** 9), F(15 * 10 ** 9)],
+                          map=_recording_map(sets))
+        trajectory_table(lambda c2: euler_quartic(F(-3), c2),
+                         [F(k) for k in range(18, 26)], map=_recording_map(sets))
+        assert [rs.precision_bits for rs in sets] == [roots.FLOAT_BITS] * 11
+        # the float disks are exact enclosures: wider than at START_BITS,
+        # and still disjoint
+        for rs in sets:
+            assert _pairwise_disjoint([(r.re, r.im, r.radius) for r in rs.roots])
+
+    def test_clustered_point_goes_on_to_start_bits(self):
+        # +-sqrt(2) and +-sqrt(2 + c): at c = 2^-60 the pairs are about 2^-61
+        # apart, below the float resolution, and 128 bits separate them
+        sets = []
+        grid = [F(1, 2 ** 60), F(1), F(2)]
+        rows = trajectory_table(lambda c: (Z * Z - 2) * (Z * Z - 2 - c), grid,
+                                map=_recording_map(sets))
+        assert [rs.precision_bits for rs in sets] == [
+            START_BITS, roots.FLOAT_BITS, roots.FLOAT_BITS]
+        for c in grid:
+            assert sorted(pt.label for pt in rows if pt.c == c) == [1, 2, 3, 4]
+        near = [r for r in sets[0].roots if r.re > 0]
+        assert len(near) == 2 and all(r.im == 0 for r in near)
+        lo, hi = sorted(near, key=lambda r: r.re)
+        assert lo.re + lo.radius < hi.re - hi.radius
+
+    def test_float_overflow_skips_the_float_rung(self, monkeypatch):
+        # 2 * 10^400 overflows the floats: the float rung gives no centres
+        # and the disks come from START_BITS
+        calls = []
+        aberth = roots._aberth
+
+        def spy(coeffs, prec_bits, steps):
+            out = aberth(coeffs, prec_bits, steps)
+            calls.append((prec_bits, out is None))
+            return out
+
+        monkeypatch.setattr(roots, "_aberth", spy)
+        sets = []
+        grid = [F(0), F(1)]
+        rows = trajectory_table(lambda c: Z ** 2 - 2 * 10 ** 400 + c, grid,
+                                map=_recording_map(sets))
+        assert calls == [(roots.FLOAT_BITS, True), (START_BITS, False)] * 2
+        assert [rs.precision_bits for rs in sets] == [START_BITS] * 2
+        for c, rs in zip(grid, sets):
+            lo, hi = rs.roots
+            assert lo.im == hi.im == 0 and lo.re == -hi.re
+            assert ((hi.re - hi.radius) ** 2 <= 2 * 10 ** 400 - c
+                    <= (hi.re + hi.radius) ** 2)
+        assert [pt.label for pt in rows] == [1, 2, 1, 2]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(real_families())
+    def test_rows_match_the_start_bits_rows(self, case):
+        """Rows from the float rung against rows from START_BITS disks.
+
+        The noise digits of the centres decide two kinds of exact ties: the
+        first grid point's sort when two roots other than a conjugate pair
+        share their real part, and a tied matching (say two real roots that
+        both move past each other), which always flags a row ambiguous.
+        Where neither tie can arise, that is with the first sort decided
+        and up to the first grid point at which either run flags a row,
+        the rows agree in c, label, flag and exact realness; a label may
+        still sit on another member of its root's orbit.  At every grid
+        point the root sets agree: as many rows hold an exactly real root,
+        and each START_BITS centre lies in exactly one float disk.
+        """
+        family, grid = case
+        got = trajectory_table(family, grid)
+        want = roots.label_trajectories(
+            grid, [certified_roots(family(c)) for c in grid])
+        assert len(got) == len(want)
+        flagged = [pt.c for pt in got + want if pt.ambiguous]
+        first_flag = min(flagged, default=None)
+        if not (_sort_decided(got, grid[0]) and _sort_decided(want, grid[0])):
+            first_flag = grid[0]
+        for x, y in zip(got, want):
+            assert (x.c, x.label) == (y.c, y.label)
+            if first_flag is None or x.c < first_flag:
+                assert x.ambiguous == y.ambiguous
+                assert (x.im == 0) == (y.im == 0)
+        for c in grid:
+            disks = {(x.re, x.im, x.radius) for x in got if x.c == c}
+            ys = [y for y in want if y.c == c]
+            assert (sum(x.im == 0 for x in got if x.c == c)
+                    == sum(y.im == 0 for y in ys))
+            for y in ys:
+                assert sum(_overlap((y.re, y.im, F(0)), d) for d in disks) == 1
