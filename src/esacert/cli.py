@@ -122,9 +122,6 @@ def cmd_region(args) -> int:
             region = esa_region_full(args.m, args.n, args.lmax, map=task_map)
         spec = {"m": args.m, "n": args.n, "l_max": args.lmax}
     else:
-        if args.l is None:
-            print("region: provide --l or --all-l", file=sys.stderr)
-            return EXIT_USAGE
         region = esa_region_radial(args.m, args.n, args.l)
         spec = {"m": args.m, "n": args.n, "l": args.l}
     rendered = region.render(args.digits)
@@ -217,17 +214,16 @@ def cmd_figure(args) -> int:
     written = []
     if args.which == "fig1":
         grid = _grid(args.sweep_min, args.sweep_max, args.steps)
-        with _task_map(args.jobs) as task_map:
-            rows = trajectory_table(functools.partial(euler_quartic, args.c1),
-                                    grid, map=task_map)
+        rows = trajectory_table(functools.partial(euler_quartic, args.c1), grid)
         path = out / "fig1_trajectories.csv"
         _write_trajectories(path, rows, highlight_label=2)
         written.append(path)
     elif args.which == "fig3":
         grid = _grid(Fraction(0), Fraction(22, 10) * 10 ** 10, args.steps)
+        # one task per sector: tasks per grid point pickle more than they save
+        sector = functools.partial(root_trajectories, 5, 20, c_grid=grid)
         with _task_map(args.jobs) as task_map:
-            for l in range(5):
-                rows = root_trajectories(5, 20, l, grid, map=task_map)
+            for l, rows in enumerate(task_map(sector, range(5))):
                 path = out / f"fig3_l{l}.csv"
                 _write_trajectories(path, rows,
                                     highlight_label=5 if l == 0 else None)
@@ -333,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="ESA region in the coupling")
     p.add_argument("--m", type=positive, required=True)
     p.add_argument("--n", type=at_least_two, required=True)
-    p.add_argument("--l", type=nonnegative, default=None)
-    p.add_argument("--all-l", action="store_true", dest="all_l")
+    sector = p.add_mutually_exclusive_group(required=True)
+    sector.add_argument("--l", type=nonnegative)
+    sector.add_argument("--all-l", action="store_true", dest="all_l")
     p.add_argument("--lmax", type=nonnegative, default=L_MAX)
     p.add_argument("--digits", type=positive, default=6)
     p.add_argument("--jobs", type=positive, default=1)

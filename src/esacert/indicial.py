@@ -123,11 +123,11 @@ def build_indicial(spec: IndicialSpec) -> RationalPolynomial:
     return indicial_base(spec.m, spec.nu) + RationalPolynomial.constant(spec.c)
 
 
-def root_trajectories(m: int, n: int, l: int, c_grid: Sequence, map=map) -> list:
-    """Trajectories of the indicial roots of the radial operator over a c-grid,
-    with the root sets computed by ``map`` (see `roots.trajectory_table`)."""
+def root_trajectories(m: int, n: int, l: int, c_grid: Sequence) -> list:
+    """Trajectories of the indicial roots of the radial operator over a c-grid
+    (`roots.trajectory_table`), computed in one process."""
     return trajectory_table(
-        lambda c: build_indicial(IndicialSpec(m=m, n=n, l=l, c=c)), c_grid, map=map)
+        lambda c: build_indicial(IndicialSpec(m=m, n=n, l=l, c=c)), c_grid)
 
 
 def euler_quartic(c1, c2) -> RationalPolynomial:

@@ -42,17 +42,16 @@ any other p takes them itself, factor by factor, with no halving.
    there are any, they are divided out (step 1) and steps 2-4 run again
    on what is left, with no rational root.
 
-The disks feed the numeric trajectory output only (`trajectory_table`; the
-indicial family is built by `indicial.root_trajectories`, and this module
-imports nothing from `indicial`), and serve the tests as an oracle
-independent of the exact half-plane count in the stability layer; no
-verdict is taken from them.
+The disks feed the numeric trajectory output only (`trajectory_table`,
+which runs one family in one process; the indicial family is built by
+`indicial.root_trajectories`, and this module imports nothing from
+`indicial`), and serve the tests as an oracle independent of the exact
+half-plane count in the stability layer; no verdict is taken from them.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,14 +94,6 @@ class CertifiedRoot:
     @property
     def exact(self) -> bool:
         return self.radius == 0
-
-    def to_json(self) -> dict:
-        return {
-            "re": str(self.re),
-            "im": str(self.im),
-            "radius": str(self.radius),
-            "multiplicity": self.multiplicity,
-        }
 
 
 @dataclass
@@ -756,7 +747,7 @@ class TrajectoryPoint:
 
 
 def trajectory_table(poly_family: Callable[[Fraction], RationalPolynomial],
-                     grid: Sequence, map=map) -> list:
+                     grid: Sequence) -> list:
     """Root trajectories of a one-parameter polynomial family over a grid.
 
     Labels are assigned by sorted order at the first grid point and carried
@@ -765,10 +756,8 @@ def trajectory_table(poly_family: Callable[[Fraction], RationalPolynomial],
     ambiguous when a competing assignment would have been nearly as close
     (within the certified radii plus 25% of the matched distance).
 
-    The polynomials are built in order; their root sets are computed by
-    ``map``, which returns them in grid order.  Pass an executor's ``map`` to
-    spread them over worker processes.  The labeling pass is sequential by
-    construction.
+    The root sets are computed in one process, in grid order; a caller
+    that wants parallelism spreads whole families over worker processes.
 
     The root sets start at FLOAT_BITS: the rows print their coordinates as
     doubles, so the disks need to separate only at the precision that prints.
@@ -778,10 +767,8 @@ def trajectory_table(poly_family: Callable[[Fraction], RationalPolynomial],
     grid = [as_fraction(c) for c in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    polys = [poly_family(c) for c in grid]
-    # a partial of the module-level function pickles for worker processes
-    at_float = functools.partial(certified_roots, precision_bits=FLOAT_BITS)
-    return label_trajectories(grid, list(map(at_float, polys)))
+    return label_trajectories(grid, [
+        certified_roots(poly_family(c), precision_bits=FLOAT_BITS) for c in grid])
 
 
 def _min_cost_assignment(cost: Sequence[Sequence[float]]) -> list:

@@ -354,10 +354,6 @@ class QuarticInvariants:
         s = lambda x: (x > 0) - (x < 0)
         return s(self.disc), s(self.pi), s(self.lam)
 
-    def to_json(self) -> dict:
-        return {"disc": str(self.disc), "pi": str(self.pi), "lambda": str(self.lam),
-                "class": self.real_root_class.value}
-
 
 def quartic_classify(q: RationalPolynomial) -> QuarticInvariants:
     """Discriminant-based real-root classification of a rational quartic.

@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -104,8 +106,17 @@ class TestRegionCommand:
         jsonschema.validate(payload["result"], schemas.REGION_RESULT_SCHEMA)
 
     def test_missing_sector_flag(self, capsys):
-        code, _, _ = invoke(capsys, ["region", "--m", "2", "--n", "5"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["region", "--m", "2", "--n", "5"])
+        assert exc.value.code == 2
+
+    def test_both_sector_flags(self, capsys):
+        # --l and --all-l exclude each other: neither is dropped silently
+        with pytest.raises(SystemExit) as exc:
+            run(["region", "--m", "2", "--n", "5", "--l", "3", "--all-l",
+                 "--lmax", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_parallel_matches_sequential(self, capsys):
         argv = ["region", "--m", "2", "--n", "8", "--all-l", "--lmax", "6", "--json"]
@@ -208,6 +219,40 @@ class TestFigureCommand:
             assert code == 0
             written[jobs] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
         assert written["1"] and written["1"] == written["2"]
+
+    def test_pool_takes_whole_sectors(self, capsys, tmp_path, monkeypatch):
+        """fig3 hands the pool one picklable task per sector; fig1 is one
+        family and runs in this process whatever --jobs says."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers, self.tasks = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                self.tasks += [(fn, args) for args in zip(*iterables)]
+                return [fn(*args) for args in zip(*iterables)]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        assert run(["figure", "--which", "fig3", "--steps", "3",
+                    "--out", str(tmp_path / "fig3"), "--jobs", "2"]) == 0
+        (pool,) = pools
+        assert pool.max_workers == 2
+        assert [args for _, args in pool.tasks] == [(l,) for l in range(5)]
+        for fn, _ in pool.tasks:
+            pickle.loads(pickle.dumps(fn))
+        assert len(list((tmp_path / "fig3").glob("fig3_l*.csv"))) == 5
+        assert run(["figure", "--which", "fig1", "--c1", "-3", "--steps", "3",
+                    "--out", str(tmp_path / "fig1"), "--jobs", "2"]) == 0
+        assert len(pools) == 1
 
 
 @pytest.mark.parametrize("argv", (

@@ -840,13 +840,20 @@ class TestPolyrootsOracle:
         assert hi.radius < hi.re / 2 ** 100
 
 
-def _recording_map(root_sets):
-    """A map for `trajectory_table` that also keeps the root sets it returns."""
-    def record(fn, polys):
-        out = list(map(fn, polys))
-        root_sets.extend(out)
+def _record_root_sets(monkeypatch) -> list:
+    """Wrap `roots.certified_roots`, which `trajectory_table` calls once per
+    grid point, so that the returned list also keeps the root sets it
+    returns, in call order."""
+    root_sets = []
+    certify = roots.certified_roots
+
+    def record(*args, **kwargs):
+        out = certify(*args, **kwargs)
+        root_sets.append(out)
         return out
-    return record
+
+    monkeypatch.setattr(roots, "certified_roots", record)
+    return root_sets
 
 
 def _even_family(draw):
@@ -914,25 +921,23 @@ def _sort_decided(rows, c) -> bool:
 
 
 class TestFloatRung:
-    def test_separated_points_report_the_float_rung(self):
-        sets = []
-        root_trajectories(5, 20, 0, [F(0), F(5 * 10 ** 9), F(15 * 10 ** 9)],
-                          map=_recording_map(sets))
+    def test_separated_points_report_the_float_rung(self, monkeypatch):
+        sets = _record_root_sets(monkeypatch)
+        root_trajectories(5, 20, 0, [F(0), F(5 * 10 ** 9), F(15 * 10 ** 9)])
         trajectory_table(lambda c2: euler_quartic(F(-3), c2),
-                         [F(k) for k in range(18, 26)], map=_recording_map(sets))
+                         [F(k) for k in range(18, 26)])
         assert [rs.precision_bits for rs in sets] == [roots.FLOAT_BITS] * 11
         # the float disks are exact enclosures: wider than at START_BITS,
         # and still disjoint
         for rs in sets:
             assert _pairwise_disjoint([(r.re, r.im, r.radius) for r in rs.roots])
 
-    def test_clustered_point_goes_on_to_start_bits(self):
+    def test_clustered_point_goes_on_to_start_bits(self, monkeypatch):
         # +-sqrt(2) and +-sqrt(2 + c): at c = 2^-60 the pairs are about 2^-61
         # apart, below the float resolution, and 128 bits separate them
-        sets = []
+        sets = _record_root_sets(monkeypatch)
         grid = [F(1, 2 ** 60), F(1), F(2)]
-        rows = trajectory_table(lambda c: (Z * Z - 2) * (Z * Z - 2 - c), grid,
-                                map=_recording_map(sets))
+        rows = trajectory_table(lambda c: (Z * Z - 2) * (Z * Z - 2 - c), grid)
         assert [rs.precision_bits for rs in sets] == [
             START_BITS, roots.FLOAT_BITS, roots.FLOAT_BITS]
         for c in grid:
@@ -954,10 +959,9 @@ class TestFloatRung:
             return out
 
         monkeypatch.setattr(roots, "_aberth", spy)
-        sets = []
+        sets = _record_root_sets(monkeypatch)
         grid = [F(0), F(1)]
-        rows = trajectory_table(lambda c: Z ** 2 - 2 * 10 ** 400 + c, grid,
-                                map=_recording_map(sets))
+        rows = trajectory_table(lambda c: Z ** 2 - 2 * 10 ** 400 + c, grid)
         assert calls == [(roots.FLOAT_BITS, True), (START_BITS, False)] * 2
         assert [rs.precision_bits for rs in sets] == [START_BITS] * 2
         for c, rs in zip(grid, sets):
